@@ -1,6 +1,6 @@
 # Convenience targets for the repro toolchain.
 
-.PHONY: install test bench bench-check bench-batch bench-batch-check bench-pig bench-pig-check bench-incr bench-incr-check bench-backend bench-backend-check bench-serve bench-pytest batch-smoke pool-smoke trace-smoke serve-smoke chaos-smoke ledger-check obs-overhead figures examples ci all clean
+.PHONY: install test bench bench-check bench-batch bench-batch-check bench-incr bench-incr-check bench-backend bench-backend-check bench-serve bench-pytest batch-smoke pool-smoke trace-smoke serve-smoke chaos-smoke ledger-check obs-overhead figures examples ci all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,22 +33,6 @@ bench-batch-check: bench-batch
 		--ratio-max batch-fuzz-200:pool_cold/fork_cold=0.5 \
 		--ratio-max batch-fuzz-200:pool_warm_cache/pool_cold=0.1 \
 		--ratio-max batch-fuzz-200:disk_warm/pool_cold=0.2
-
-# Time large-region PIG construction (vector vs bitset engine) and
-# the region-sharded build's worker-count scaling.  The committed
-# baseline is BENCH_pr6.json.
-bench-pig:
-	PYTHONPATH=src python tools/bench_pig.py -o BENCH_pig_current.json
-
-# The PR-6 machine-independent floor on a fresh run: the vectorized
-# engine must stay >= 3x faster than the bitset engine on the n=2048
-# region (same run, interleaved timing).  --skip-shard keeps CI off
-# the multi-process rows, whose scaling is core-count-dependent.
-bench-pig-check:
-	PYTHONPATH=src python tools/bench_pig.py --skip-shard --check \
-		-o BENCH_pig_current.json
-	PYTHONPATH=src python tools/bench_compare.py none BENCH_pig_current.json \
-		--ratio-max pig-n2048:pig_vector/pig_bitset=0.3334
 
 # The PR-9 edit-recompile loop: region kernels must replay from the
 # cache, so a one-region edit recompiles the region path >= 3x faster
@@ -161,8 +145,6 @@ ci:
 	PYTHONPATH=src python -m repro compile examples/smoke.src
 	PYTHONPATH=src python -m repro compile examples/smoke.src --paranoid --strategy all
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault deps.bitset
-	PYTHONPATH=src python -m repro compile examples/smoke.src --pig-engine vector
-	PYTHONPATH=src python -m repro compile examples/smoke.src --pig-engine vector --inject-fault deps.vector
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault core.pinter_color
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault sched.augmented
 	PYTHONPATH=src python -m repro compile examples/smoke.src --backend reference
@@ -181,7 +163,6 @@ ci:
 	$(MAKE) ledger-check
 	$(MAKE) obs-overhead
 	$(MAKE) bench-batch-check
-	$(MAKE) bench-pig-check
 	$(MAKE) bench-incr-check
 	$(MAKE) bench-backend-check
 
@@ -191,6 +172,6 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
 	rm -rf .pytest_cache .hypothesis *.egg-info src/*.egg-info
 	rm -f BENCH_current.json BENCH_obs_off.json BENCH_obs_on.json
-	rm -f BENCH_batch_current.json BENCH_pig_current.json
+	rm -f BENCH_batch_current.json
 	rm -f BENCH_serve_current.json
 	rm -rf .ledger-check

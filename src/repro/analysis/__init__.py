@@ -23,7 +23,6 @@ from repro.analysis.liveness import (
     live_variables_rows,
     max_register_pressure,
     per_instruction_liveness,
-    per_instruction_liveness_rows,
 )
 from repro.analysis.loops import (
     NaturalLoop,
@@ -74,7 +73,6 @@ __all__ = [
     "max_register_pressure",
     "natural_loops",
     "per_instruction_liveness",
-    "per_instruction_liveness_rows",
     "plausible_pairs",
     "postdominator_tree",
     "reaching_at_uses",

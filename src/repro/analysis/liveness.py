@@ -264,9 +264,9 @@ def block_live_intervals(
 # path numbers every register once and represents each live set as one
 # big Python int (bit i = register i live), so a transfer step is two
 # word-parallel integer operations.  The rows are the substrate the
-# compact interference builder (:mod:`repro.regalloc.compact`) and the
-# sharded back-end consume; :meth:`LivenessRows.to_info` converts back
-# to the reference representation for equivalence tests.
+# compact interference builder (:mod:`repro.regalloc.compact`)
+# consumes; :meth:`LivenessRows.to_info` converts back to the
+# reference representation for equivalence tests.
 
 
 @dataclass(frozen=True)
@@ -404,25 +404,6 @@ def live_variables_rows(
                     pending.append(pred.name)
                     queued.add(pred.name)
     return LivenessRows(index=index, live_in=live_in, live_out=live_out)
-
-
-def per_instruction_liveness_rows(
-    block: BasicBlock, live_out_mask: int, index: RegisterIndex
-) -> List[int]:
-    """Bitrow twin of :func:`per_instruction_liveness`: ``result[i]``
-    is the mask of registers live immediately after instruction i."""
-    n = len(block.instructions)
-    result = [0] * n
-    position = index.position
-    live = live_out_mask
-    for idx in range(n - 1, -1, -1):
-        result[idx] = live
-        instr = block.instructions[idx]
-        for reg in instr.defs():
-            live &= ~(1 << position[reg])
-        for reg in instr.uses():
-            live |= 1 << position[reg]
-    return result
 
 
 def max_register_pressure(

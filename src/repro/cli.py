@@ -208,8 +208,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         raise InputError("--time-budget must be positive seconds")
     _install_cli_faults(args)
 
-    if args.pig_shards < 0:
-        raise InputError("--pig-shards must be >= 0")
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
@@ -217,7 +215,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         optimize=args.optimize,
         engine=args.pig_engine,
-        pig_shards=args.pig_shards,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend=args.backend,
@@ -348,20 +345,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    engine = args.engine
-    if engine == "auto":
-        # Resolve here so the circuit breaker keys and worker payloads
-        # all see the concrete rung name.
-        from repro.deps.vector import HAVE_NUMPY
-
-        engine = "vector" if HAVE_NUMPY else "bitset"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
         max_instrs=args.max_instrs,
         time_budget=args.time_budget,
         optimize=args.optimize,
-        engine=engine,
+        engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend="compact" if args.backend == "auto" else args.backend,
@@ -518,18 +508,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    engine = args.engine
-    if engine == "auto":
-        from repro.deps.vector import HAVE_NUMPY
-
-        engine = "vector" if HAVE_NUMPY else "bitset"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
         max_instrs=args.max_instrs,
         time_budget=args.time_budget,
         optimize=args.optimize,
-        engine=engine,
+        engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend="compact" if args.backend == "auto" else args.backend,
@@ -845,16 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--pig-engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine for PIG construction: 'vector' "
-        "is the packed-uint64 kernel (degrades vector->bitset->"
-        "reference), 'auto' picks vector when numpy is importable",
-    )
-    p_compile.add_argument(
-        "--pig-shards", type=int, default=0, metavar="N",
-        help="with N >= 2, build the PIG region-sharded across N warm "
-        "pool workers (vector/bitset engines only)",
+        help="primary dependence engine for PIG construction: 'bitset' "
+        "is the word-parallel kernel (degrades to 'reference')",
     )
     p_compile.add_argument(
         "--backend",
@@ -970,10 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine rung ('auto' resolves to "
-        "vector when numpy is importable)",
+        help="primary dependence engine rung",
     )
     p_batch.add_argument(
         "--backend",
@@ -1128,10 +1106,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine rung ('auto' resolves to "
-        "vector when numpy is importable)",
+        help="primary dependence engine rung",
     )
     p_serve.add_argument(
         "--backend",

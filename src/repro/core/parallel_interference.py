@@ -259,176 +259,6 @@ def _splice_false_edges(
                     data["origin"] |= false_flag
 
 
-def _splice_false_edges_vector(
-    kernel,
-    def_to_web: Dict[DefPoint, Web],
-    graph: nx.Graph,
-    check_deadline=None,
-    inter_graph: Optional[nx.Graph] = None,
-) -> None:
-    """Vectorized variant of :func:`_splice_false_edges`: pair
-    detection runs on the kernel's packed uint64 E_f matrix
-    (:func:`repro.deps.vector.web_pair_hits`), insertion shares one
-    attribute dict across all false-only edges of the call and goes
-    through C-speed ``dict.fromkeys`` + ``update`` bulk writes.
-
-    Sharing one dict is safe because false-only origins are only ever
-    *read* after construction (interference-overlap edges get
-    ``origin`` OR-ed into their private dict instead), and
-    ``Graph.copy()`` gives every edge a fresh dict.  A false edge seen
-    again from a later region overwrites (both directions, so they
-    stay consistent) with an equal-valued dict — a no-op by value.
-
-    *inter_graph*, when given, is the function's E_r graph over webs;
-    its (few) edges are the only entries that may need the OR
-    treatment, so providing it lets the common all-fresh row skip the
-    per-key existence probing entirely.
-    """
-    from repro.deps.vector import HAVE_NUMPY, web_pair_hits
-
-    webs, masks = _web_def_masks(kernel, def_to_web)
-    if len(webs) < 2:
-        return
-    batched = inter_graph is not None and HAVE_NUMPY
-    hits = web_pair_hits(
-        kernel.ef_rows,
-        masks,
-        len(kernel.index),
-        packed_ef=getattr(kernel, "packed_ef", None),
-        check_deadline=check_deadline,
-        as_arrays=batched,
-    )
-    adj = graph._adj
-    false_flag = EdgeOrigin.FALSE
-    shared = {"origin": false_flag}
-    inter_sets: Optional[Dict[int, set]] = None
-    if inter_graph is not None:
-        ordinal = {web: i for i, web in enumerate(webs)}
-        inter_sets = {}
-        for web_a, web_b in inter_graph.edges():
-            a = ordinal.get(web_a)
-            b = ordinal.get(web_b)
-            if a is None or b is None:
-                continue
-            if a > b:
-                a, b = b, a
-            inter_sets.setdefault(a, set()).add(b)
-    if batched:
-        _insert_false_rows_numpy(
-            hits, webs, adj, inter_sets, shared, false_flag,
-            check_deadline,
-        )
-        return
-    for a, matched in enumerate(hits):
-        if not matched:
-            continue
-        web_u = webs[a]
-        row_u = adj[web_u]
-        if inter_sets is not None:
-            inter = inter_sets.get(a)
-            if inter:
-                nbrs = []
-                for b in matched:
-                    if b in inter:
-                        row_u[webs[b]]["origin"] |= false_flag
-                    else:
-                        nbrs.append(webs[b])
-            else:
-                nbrs = [webs[b] for b in matched]
-            if not nbrs:
-                continue
-            row_u.update(dict.fromkeys(nbrs, shared))
-            for web_v in nbrs:
-                adj[web_v][web_u] = shared
-        else:
-            # No E_r adjacency provided: probe every key (safe path).
-            fresh = dict.fromkeys((webs[b] for b in matched), shared)
-            existing = row_u.keys() & fresh.keys()
-            for web_v in existing:
-                row_u[web_v]["origin"] |= false_flag
-                del fresh[web_v]
-            if fresh:
-                row_u.update(fresh)
-                for web_v in fresh:
-                    adj[web_v][web_u] = shared
-
-
-def _insert_false_rows_numpy(
-    hits,
-    webs: List[Web],
-    adj,
-    inter_sets: Dict[int, set],
-    shared: dict,
-    false_flag: EdgeOrigin,
-    check_deadline=None,
-) -> None:
-    """Numpy-batched insertion of the false-edge hit lists into the
-    graph adjacency *adj* (the hot half of the vector splice).
-
-    The forward direction (row ``a`` gains every matched ``b``) is
-    already grouped by ``a``; the reverse direction used to pay one
-    interpreted dict store per edge.  Here all (a, b) ordinal pairs
-    are accumulated as int arrays, stably argsorted by ``b``, and each
-    target row then takes a single C-speed ``dict.fromkeys``+``update``
-    over an object-array fancy-indexed slice — per-row work instead of
-    per-edge work.  E_r-overlap pairs (the only preexisting edges)
-    were already OR-ed and excluded, so every batched key is fresh.
-    """
-    import numpy as np
-
-    webs_obj = np.array(webs, dtype=object)
-    a_chunks = []
-    b_chunks = []
-    stride = 0
-    for a, matched in enumerate(hits):
-        if len(matched) == 0:
-            continue
-        stride += 1
-        if check_deadline is not None and not stride % 64:
-            check_deadline()
-        b_arr = np.asarray(matched, dtype=np.intp)
-        inter = inter_sets.get(a)
-        if inter:
-            inter_arr = np.fromiter(inter, dtype=np.intp, count=len(inter))
-            overlap = np.isin(b_arr, inter_arr)
-            if overlap.any():
-                row_u = adj[webs[a]]
-                for b in b_arr[overlap].tolist():
-                    row_u[webs[b]]["origin"] |= false_flag
-                b_arr = b_arr[~overlap]
-                if b_arr.size == 0:
-                    continue
-        a_chunks.append(np.full(b_arr.size, a, dtype=np.intp))
-        b_chunks.append(b_arr)
-        web_u = webs[a]
-        fresh = dict.fromkeys(webs_obj[b_arr].tolist(), shared)
-        # An empty adjacency row can take the fromkeys dict wholesale
-        # (plain nx.Graph rows are unaliased), skipping the copy pass.
-        if adj[web_u]:
-            adj[web_u].update(fresh)
-        else:
-            adj[web_u] = fresh
-    if not b_chunks:
-        return
-    all_a = np.concatenate(a_chunks)
-    all_b = np.concatenate(b_chunks)
-    order = np.argsort(all_b, kind="stable")
-    all_a = all_a[order]
-    all_b = all_b[order]
-    boundaries = np.flatnonzero(all_b[1:] != all_b[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(all_b)]))
-    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if check_deadline is not None and not (i + 1) % 64:
-            check_deadline()
-        web_v = webs[all_b[s]]
-        fresh = dict.fromkeys(webs_obj[all_a[s:e]].tolist(), shared)
-        if adj[web_v]:
-            adj[web_v].update(fresh)
-        else:
-            adj[web_v] = fresh
-
-
 def _insert_edges_fast(graph: nx.Graph, edges, origin: EdgeOrigin) -> None:
     """Batch edge insertion writing networkx's adjacency dicts
     directly (every endpoint must already be a node).  Falls back to
@@ -481,11 +311,9 @@ def build_parallel_interference_graph(
             extension).  With False, each block is its own region
             (classic per-basic-block operation).
         engine: ``"bitset"`` (default) runs the word-parallel
-            dependence kernel; ``"vector"`` runs the packed-uint64
-            kernel (:mod:`repro.deps.vector`) with the vectorized web
-            splice; ``"reference"`` runs the retained set-based
-            pipeline (:mod:`repro.deps.reference`) — same output, used
-            by the equivalence suite and ``repro bench``.
+            dependence kernel; ``"reference"`` runs the retained
+            set-based pipeline (:mod:`repro.deps.reference`) — same
+            output, used by the equivalence suite and ``repro bench``.
         check_deadline: Optional zero-argument callback polled between
             regions and inside the kernels' closure loops; it raises
             to preempt the build when the driver's wall-clock budget
@@ -494,7 +322,7 @@ def build_parallel_interference_graph(
             on bitrows (identical edges, bulk-inserted); ``"reference"``
             keeps the classic builder.
     """
-    if engine not in ("vector", "bitset", "reference"):
+    if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
     interference = interference_for_backend(fn, backend)
     def_to_web = web_of_definition(interference.webs)
@@ -510,7 +338,7 @@ def build_parallel_interference_graph(
     graph = nx.Graph()
     graph.add_nodes_from(interference.webs)
     interference_edges = list(interference.graph.edges())
-    if engine in ("vector", "bitset"):
+    if engine == "bitset":
         _insert_edges_fast(graph, interference_edges, EdgeOrigin.INTERFERENCE)
     else:
         for a, b in interference_edges:
@@ -523,24 +351,17 @@ def build_parallel_interference_graph(
         sg = region_schedule_graph(fn, region.blocks, machine=machine)
         if not sg.instructions:
             continue
-        if engine in ("vector", "bitset"):
+        if engine == "bitset":
             fdg = false_dependence_graph(
-                sg, machine, check_deadline=check_deadline, engine=engine
+                sg, machine, check_deadline=check_deadline
             )
+            false_graphs.append(fdg)
+            _splice_false_edges(fdg.kernel, def_to_web, graph)
         else:
             from repro.deps.reference import reference_false_dependence_graph
 
             fdg = reference_false_dependence_graph(sg, machine)
-        false_graphs.append(fdg)
-        if engine == "vector":
-            _splice_false_edges_vector(
-                fdg.kernel, def_to_web, graph,
-                check_deadline=check_deadline,
-                inter_graph=interference.graph,
-            )
-        elif engine == "bitset":
-            _splice_false_edges(fdg.kernel, def_to_web, graph)
-        else:
+            false_graphs.append(fdg)
             projected = _project_false_pairs_to_webs(fdg, def_to_web)
             for web_a, web_b in projected:
                 if graph.has_edge(web_a, web_b):

@@ -1,22 +1,10 @@
 """Dependence analysis: data dependences, the schedule graph G_s,
-its transitive closure (bitset and vectorized kernels), and the
+its transitive closure (bitset kernel), and the
 false-dependence graph G_f."""
 
 from repro.deps.bitset import (
     DependenceBitKernel,
     InstructionIndex,
-)
-from repro.deps.vector import (
-    HAVE_NUMPY,
-    VectorDependenceKernel,
-    WORD_BITS,
-    pack_rows,
-    rows_from_hex,
-    rows_to_hex,
-    unpack_rows,
-    vector_backend,
-    web_pair_hits,
-    words_for,
 )
 from repro.deps.datadeps import (
     Dependence,
@@ -65,11 +53,8 @@ __all__ = [
     "DependenceKind",
     "FALSE_CANDIDATE_KINDS",
     "FalseDependenceGraph",
-    "HAVE_NUMPY",
     "InstructionIndex",
     "ScheduleGraph",
-    "VectorDependenceKernel",
-    "WORD_BITS",
     "all_dependences",
     "block_false_dependence_graph",
     "block_schedule_graph",
@@ -81,7 +66,6 @@ __all__ = [
     "latest_start_times",
     "memory_dependences",
     "ordered_pair",
-    "pack_rows",
     "reachability",
     "reachability_rows",
     "reference_contention_pairs",
@@ -90,14 +74,8 @@ __all__ = [
     "reference_transitive_closure_pairs",
     "region_schedule_graph",
     "register_dependences",
-    "rows_from_hex",
-    "rows_to_hex",
     "schedule_times",
     "slack",
     "transit_dependence_pairs",
     "transitive_closure_pairs",
-    "unpack_rows",
-    "vector_backend",
-    "web_pair_hits",
-    "words_for",
 ]

@@ -3,7 +3,6 @@
 from repro.machine import presets
 from repro.machine.model import (
     MachineDescription,
-    machine_from_wire,
     machine_to_wire,
 )
 from repro.machine.resources import (
@@ -14,7 +13,6 @@ from repro.machine.resources import (
 
 __all__ = [
     "MachineDescription",
-    "machine_from_wire",
     "machine_to_wire",
     "ReservationTable",
     "contention_pairs",

@@ -166,9 +166,8 @@ def machine_to_wire(machine: MachineDescription) -> Dict[str, object]:
     """A :class:`MachineDescription` as JSON-safe primitives (enum
     members travel by name).
 
-    This is both the pool-worker wire format (a worker rebuilds its
-    machine with :func:`machine_from_wire`) and the *canonical* form
-    the cache fingerprints: every field that can change a compile —
+    This is the *canonical* form the cache fingerprints: every field
+    that can change a compile —
     unit mix, issue width, register count, latencies, overrides,
     pipelining — appears here, so two machines with equal wire forms
     are interchangeable for compilation.
@@ -188,24 +187,3 @@ def machine_to_wire(machine: MachineDescription) -> Dict[str, object]:
         "pipelined": machine.pipelined,
     }
 
-
-def machine_from_wire(wire: Dict[str, object]) -> MachineDescription:
-    """Inverse of :func:`machine_to_wire`."""
-    return MachineDescription(
-        name=str(wire["name"]),
-        units={
-            UnitKind[name]: int(count)
-            for name, count in dict(wire["units"]).items()
-        },
-        issue_width=int(wire["issue_width"]),
-        num_registers=int(wire["num_registers"]),
-        latencies={
-            Opcode[name]: int(lat)
-            for name, lat in dict(wire["latencies"]).items()
-        },
-        unit_overrides={
-            Opcode[name]: UnitKind[kind]
-            for name, kind in dict(wire["unit_overrides"]).items()
-        },
-        pipelined=bool(wire["pipelined"]),
-    )

@@ -13,8 +13,7 @@ deadline), records :class:`Diagnostic` entries into a
 ==============  ============================  ===========================
 phase           primary                       fallback
 ==============  ============================  ===========================
-``pig``         vector/bitset dep. kernel     next ladder rung (bitset,
-                                              then reference engine)
+``pig``         bitset dependence kernel      reference engine
 ``color``       combined Pinter coloring      Chaitin with spilling
 ``schedule``    augmented (E_f-driven)        plain list scheduler
 ``opt``         optimization pipeline         unoptimized program
@@ -22,8 +21,8 @@ phase           primary                       fallback
 ==============  ============================  ===========================
 
 In ``--paranoid`` mode the ``pig`` phase additionally *cross-checks*
-each fast engine rung against the reference engine and degrades one
-rung on divergence.  In ``--strict`` mode the ladder is
+the bitset engine against the reference engine and degrades to the
+reference rung on divergence.  In ``--strict`` mode the ladder is
 disabled: the first phase error fails the compile.
 
 Outcomes map to documented exit codes:
@@ -78,7 +77,6 @@ T = TypeVar("T")
 #: paranoid mode, divergence from the reference cross-check) falls
 #: through to the next; the last rung is non-recoverable.
 _ENGINE_LADDER: Dict[str, Tuple[str, ...]] = {
-    "vector": ("vector", "bitset", "reference"),
     "bitset": ("bitset", "reference"),
     "reference": ("reference",),
 }
@@ -97,6 +95,11 @@ EXIT_INPUT = 2
 
 #: Diagnostic severities, mildest first.
 SEVERITIES = ("info", "warning", "error")
+
+#: Message prefix of every wall-clock budget abort, at a phase boundary
+#: or mid-phase; the services match on it to tell an expired request
+#: deadline from a compiler failure.
+BUDGET_EXHAUSTED = "wall-clock budget exhausted"
 
 
 @dataclass
@@ -237,7 +240,7 @@ class CompileReport:
 @dataclass
 class DriverConfig:
     """Knobs of the hardened driver (CLI flags map 1:1; ``engine``
-    is ``--pig-engine`` and ``pig_shards`` is ``--pig-shards``).
+    is ``--pig-engine``).
 
     Attributes:
         strict: Disable every fallback rung — the first phase error
@@ -254,17 +257,9 @@ class DriverConfig:
         use_regions: Build false-dependence graphs over scheduling
             regions (the global form).
         max_spill_rounds: Bound on spill-and-repeat iterations.
-        engine: Primary dependence engine.  ``"bitset"`` (default)
-            degrades to ``"reference"``; ``"vector"`` (the packed
-            uint64 kernel, :mod:`repro.deps.vector`) degrades through
-            ``"bitset"`` to ``"reference"``; ``"reference"`` has no
-            rung below it.  ``"auto"`` resolves at driver construction
-            to ``"vector"`` when numpy is importable, else
-            ``"bitset"`` (the resolved name is what the fingerprint —
-            and therefore the compile cache — sees).
-        pig_shards: When >= 2, PIG construction is sharded by
-            scheduling region across that many warm pool workers
-            (:mod:`repro.service.shard`); 0 or 1 builds in-process.
+        engine: Primary dependence engine: ``"bitset"`` (default,
+            the word-parallel kernel of :mod:`repro.deps.bitset`)
+            degrades to ``"reference"``, which has no rung below it.
         region_cache: Serve per-region dependence kernels from the
             region-grain cache (:mod:`repro.pipeline.incremental`), so
             an edit-recompile loop pays only the edited regions.  Only
@@ -292,7 +287,6 @@ class DriverConfig:
     use_regions: bool = True
     max_spill_rounds: int = 12
     engine: str = "bitset"
-    pig_shards: int = 0
     region_cache: bool = False
     region_cache_dir: Optional[str] = None
     backend: str = "auto"
@@ -383,8 +377,7 @@ class PhaseGuard:
             self.report.add(
                 "error",
                 phase,
-                "wall-clock budget exhausted "
-                "(deadline passed at phase boundary)",
+                BUDGET_EXHAUSTED + " (deadline passed at phase boundary)",
             )
             raise _Abort("internal")
 
@@ -403,7 +396,7 @@ class PhaseGuard:
         def check() -> None:
             if time.monotonic() > deadline:
                 raise BudgetExceededError(
-                    "wall-clock budget exhausted (mid-phase preemption)"
+                    BUDGET_EXHAUSTED + " (mid-phase preemption)"
                 )
 
         return check
@@ -537,10 +530,6 @@ class CompilationDriver:
             if not hasattr(cfg, key):
                 raise InputError("unknown driver option {!r}".format(key))
             setattr(cfg, key, value)
-        if cfg.engine == "auto":
-            from repro.deps.vector import HAVE_NUMPY
-
-            cfg.engine = "vector" if HAVE_NUMPY else "bitset"
         if cfg.engine not in _ENGINE_LADDER:
             raise InputError(
                 "unknown dependence engine {!r}".format(cfg.engine)
@@ -550,10 +539,6 @@ class CompilationDriver:
         if cfg.backend not in _BACKEND_LADDER:
             raise InputError(
                 "unknown compiler backend {!r}".format(cfg.backend)
-            )
-        if cfg.pig_shards < 0:
-            raise InputError(
-                "pig_shards must be >= 0, got {}".format(cfg.pig_shards)
             )
         if self.num_registers < 1:
             raise InputError("need at least one register")
@@ -803,11 +788,11 @@ class CompilationDriver:
         ):
             return None
         from repro.pipeline.incremental import (
-            SHARDABLE_ENGINES,
+            CACHEABLE_ENGINES,
             region_cache_for,
         )
 
-        if engine not in SHARDABLE_ENGINES:
+        if engine not in CACHEABLE_ENGINES:
             return None
         return region_cache_for(cfg.region_cache_dir)
 
@@ -823,14 +808,12 @@ class CompilationDriver:
         """One PIG build with the engine ladder.
 
         The rung sequence comes from :data:`_ENGINE_LADDER`:
-        ``vector`` degrades through ``bitset`` to ``reference``,
-        ``bitset`` straight to ``reference``.  A rung fails on any
+        ``bitset`` degrades to ``reference``.  A rung fails on any
         phase error or — in paranoid mode — on divergence from the
         reference cross-check; in strict mode the first failure
         aborts.  Returns the graph plus the engine that actually
         produced it, so the degradation sticks for the rest of the
-        compile.  With ``pig_shards >= 2`` the fast rungs build
-        region-sharded across the warm worker pool.
+        compile.
         """
         cfg = self.config
         mid_phase = guard.mid_phase_checker()
@@ -847,17 +830,7 @@ class CompilationDriver:
                     work, self.machine, cache,
                     use_regions=cfg.use_regions, engine=target,
                     config_fingerprint=cfg.fingerprint(),
-                    shards=cfg.pig_shards, check_deadline=mid_phase,
-                    backend=backend,
-                )
-            if cfg.pig_shards >= 2 and target in ("vector", "bitset"):
-                from repro.service.shard import build_sharded_pig
-
-                return build_sharded_pig(
-                    work, self.machine,
-                    use_regions=cfg.use_regions, engine=target,
-                    shards=cfg.pig_shards, check_deadline=mid_phase,
-                    backend=backend,
+                    check_deadline=mid_phase, backend=backend,
                 )
             return build_parallel_interference_graph(
                 work, self.machine,
@@ -1041,11 +1014,9 @@ class CompilationDriver:
         engine: str = "bitset",
     ) -> int:
         """Cycle count of the allocated program, through the back-end
-        ladder: compact augmented scheduling (array worklists; with
-        ``pig_shards >= 2`` the blocks are scheduled region-sharded
-        across the warm worker pool) degrades to the reference
-        augmented scheduler, which degrades to the plain list
-        scheduler.  In paranoid mode the compact rung cross-checks
+        ladder: compact augmented scheduling (array worklists) degrades
+        to the reference augmented scheduler, which degrades to the
+        plain list scheduler.  In paranoid mode the compact rung cross-checks
         every block schedule against the reference scheduler and
         degrades on divergence."""
 
@@ -1078,8 +1049,7 @@ class CompilationDriver:
                     )
                 else:
                     fdg = false_dependence_graph(
-                        sg, self.machine, check_deadline=mid_phase,
-                        engine=engine,
+                        sg, self.machine, check_deadline=mid_phase
                     )
                 if backend == "compact":
                     schedule = compact_augmented_schedule(
@@ -1099,36 +1069,14 @@ class CompilationDriver:
                 total += schedule.makespan
             return total
 
-        def sharded(backend: str) -> int:
-            from repro.service.shard import schedule_sharded
-
-            return schedule_sharded(
-                allocated, self.machine, engine=engine, backend=backend,
-                shards=cfg.pig_shards, use_regions=cfg.use_regions,
-                check_deadline=mid_phase,
-            )
-
         def plain() -> int:
             return simulate_function(allocated, self.machine).total_cycles
 
-        # The sharded path serves the primary rung only: cached,
-        # paranoid, and fault-armed compiles schedule in-process (the
-        # cross-check and the fault points belong in this process).
-        use_shards = (
-            cfg.pig_shards >= 2
-            and cache is None
-            and not cfg.paranoid
-            and engine in ("vector", "bitset")
-            and not faults.active_specs()
-        )
         ladder = _BACKEND_LADDER[cfg.backend]
         for pos, backend in enumerate(ladder):
-            if use_shards and pos == 0:
-                def attempt(b: str = backend) -> int:
-                    return sharded(b)
-            else:
-                def attempt(b: str = backend) -> int:
-                    return augmented(b)
+            def attempt(b: str = backend) -> int:
+                return augmented(b)
+
             try:
                 return guard.run("schedule", attempt, recoverable=True)
             except _PhaseError:

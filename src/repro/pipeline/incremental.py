@@ -19,18 +19,18 @@ This module is the reuse path:
   through the cache; used by the driver's theorem-1 check and the
   scheduler's per-block false-dependence graphs.
 * :func:`build_incremental_pig` — the whole-function build: split into
-  regions, look every region up, rebuild only the misses (locally, or
-  fanned over the warm worker pool when ``pig_shards`` asks for it),
-  and compose the function result by web stitching, bit-identical to
-  the cold build.
+  regions, look every region up, rebuild only the misses, and compose
+  the function result by web stitching, bit-identical to the cold
+  build.
 
-Cache honesty mirrors the whole-compile tiers (PR 5/PR 8):
+Cache honesty mirrors the whole-compile tiers:
 
 * Entries are stored in the validated worker-result shape with the
-  kernel rows as the ``pig_region`` report payload, so the store's
-  ``_is_cacheable`` gate and the shard layer's report validation both
-  apply on the way in and on the way out; a corrupt or mismatched
-  entry degrades to a miss and a local rebuild.
+  kernel rows as a ``pig_region`` report payload (hex wire rows, see
+  :func:`kernel_to_report`), so the store's ``_is_cacheable`` gate and
+  :func:`_kernel_from_report`'s validation apply on the way in and on
+  the way out; a corrupt or mismatched entry degrades to a miss and a
+  local rebuild.
 * **Fault-armed processes neither read nor write the cache** — an
   injected fault must never freeze into a stored kernel, and a replay
   must never mask the fault path under test.  Degraded ladder rungs
@@ -45,7 +45,6 @@ surfaces the hit rate of a session.
 
 from __future__ import annotations
 
-import uuid
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -64,10 +63,10 @@ from repro.core.parallel_interference import (
     ParallelInterferenceGraph,
     _insert_edges_fast,
     _splice_false_edges,
-    _splice_false_edges_vector,
     interference_for_backend,
 )
 from repro.core.scheduling_value import region_value_rows
+from repro.deps.bitset import DependenceBitKernel, InstructionIndex
 from repro.deps.false_dependence import (
     FalseDependenceGraph,
     false_dependence_graph,
@@ -79,24 +78,18 @@ from repro.deps.global_deps import (
 from repro.deps.schedule_graph import ScheduleGraph, region_schedule_graph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.printer import format_function, format_instruction
+from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
-from repro.regalloc.interference import build_interference_graph
-from repro.service.manifest import CompileTask
-from repro.service.pool import PoolHandle, WorkerPool
-from repro.service.shard import (
-    DEFAULT_TASK_TIMEOUT,
-    SHARDABLE_ENGINES,
-    _collect_done,
-    _kernel_from_report,
-    _pool_for,
-    build_region_payload,
-    kernel_to_report,
-)
-from repro.service.worker import WorkerOutcome
 from repro.utils import faults
 from repro.utils.errors import InputError
+
+#: Report discriminator of a stored region kernel.
+PIG_REGION_KIND = "pig_region"
+
+#: Engines whose kernel has wire rows, i.e. the engines the region
+#: cache serves (the reference engine builds pair sets, not rows).
+CACHEABLE_ENGINES = ("bitset",)
 
 #: Regions/blocks below this many instructions are built inline
 #: without touching the cache: the kernel build is cheaper than the
@@ -138,6 +131,65 @@ def reset_region_caches() -> None:
 
 
 # ----------------------------------------------------------------------
+# Entry codec
+# ----------------------------------------------------------------------
+
+
+def rows_to_hex(rows: Sequence[int]) -> List[str]:
+    """Endianness-neutral wire form of big-int rows."""
+    return [format(row, "x") for row in rows]
+
+
+def rows_from_hex(texts: Sequence[str]) -> List[int]:
+    """Inverse of :func:`rows_to_hex`."""
+    return [int(text, 16) for text in texts]
+
+
+def kernel_to_report(kernel, engine: str) -> Dict[str, object]:
+    """One kernel's four row families as the ``pig_region`` report
+    payload — hex wire rows, JSON-safe."""
+    return {
+        "kind": PIG_REGION_KIND,
+        "engine": engine,
+        "n": len(kernel.index),
+        "reach": rows_to_hex(kernel.reach_rows),
+        "contention": rows_to_hex(kernel.contention_rows),
+        "et": rows_to_hex(kernel.et_rows),
+        "ef": rows_to_hex(kernel.ef_rows),
+    }
+
+
+def _kernel_from_report(
+    report: Dict[str, object], instructions: Sequence[Instruction]
+) -> Optional[DependenceBitKernel]:
+    """Rebuild a kernel from wire rows over the caller's own
+    instruction sequence, or ``None`` when the report does not
+    type-check (a poisoned entry may hold anything — trust nothing
+    unvalidated)."""
+    if not isinstance(report, dict) or report.get("kind") != PIG_REGION_KIND:
+        return None
+    n = len(instructions)
+    if report.get("n") != n:
+        return None
+    rows: Dict[str, List[int]] = {}
+    for key in ("reach", "contention", "et", "ef"):
+        texts = report.get(key)
+        if not isinstance(texts, list) or len(texts) != n:
+            return None
+        try:
+            rows[key] = rows_from_hex(texts)
+        except (TypeError, ValueError):
+            return None
+    return DependenceBitKernel(
+        index=InstructionIndex(list(instructions)),
+        reach_rows=rows["reach"],
+        contention_rows=rows["contention"],
+        et_rows=rows["et"],
+        ef_rows=rows["ef"],
+    )
+
+
+# ----------------------------------------------------------------------
 # Cache plumbing
 # ----------------------------------------------------------------------
 
@@ -145,7 +197,7 @@ def reset_region_caches() -> None:
 def _entry_for(kernel, engine: str, sg: ScheduleGraph) -> Dict[str, object]:
     """A kernel as a storable entry: the validated worker-result shape
     with the wire rows as the report, so the store's cacheability gate
-    and the shard layer's report validation both apply.  The report
+    and :func:`_kernel_from_report` both apply.  The report
     additionally carries the region's positional ``(ep, height)``
     scheduling-value rows — like the kernel, a pure function of
     (schedule graph, machine) — so a replay prices false edges without
@@ -183,16 +235,15 @@ def _lookup(
     cache: CompileCache,
     key: RegionCacheKey,
     instructions: Sequence[Instruction],
-    engine: str,
 ):
     """``(kernel, value_rows)`` for *key* rebuilt over the caller's own
     instruction sequence, or ``None``.  Malformed rows (size drift, bad
-    hex) degrade to a miss exactly like a poisoned shard report."""
+    hex) degrade to a miss."""
     entry = cache.get(key)
     if entry is None:
         return None
     report = entry.get("report")
-    kernel = _kernel_from_report(report, list(instructions), engine)
+    kernel = _kernel_from_report(report, instructions)
     if kernel is None:
         return None
     return kernel, _value_rows_from_report(report, len(instructions))
@@ -226,15 +277,15 @@ def cached_region_fdg(
     """
     if (
         cache is None
-        or engine not in SHARDABLE_ENGINES
+        or engine not in CACHEABLE_ENGINES
         or len(sg.instructions) < min_instrs
         or faults.active_specs()
     ):
         return false_dependence_graph(
-            sg, machine, check_deadline=check_deadline, engine=engine
+            sg, machine, check_deadline=check_deadline
         )
     key = region_cache_key(sg, machine, engine, config_fingerprint)
-    hit = _lookup(cache, key, sg.instructions, engine)
+    hit = _lookup(cache, key, sg.instructions)
     if hit is not None:
         kernel, value_rows = hit
         _note_region("hit")
@@ -245,9 +296,7 @@ def cached_region_fdg(
             value_rows=value_rows,
         )
     _note_region("miss")
-    fdg = false_dependence_graph(
-        sg, machine, check_deadline=check_deadline, engine=engine
-    )
+    fdg = false_dependence_graph(sg, machine, check_deadline=check_deadline)
     cache.put(key, _entry_for(fdg.kernel, engine, sg))
     return fdg
 
@@ -282,15 +331,15 @@ def cached_region_fdg_ir(
         return None
     if (
         cache is None
-        or engine not in SHARDABLE_ENGINES
+        or engine not in CACHEABLE_ENGINES
         or len(work.instructions) < min_instrs
         or faults.active_specs()
     ):
-        return false_dependence_graph(work.sg(), machine, engine=engine)
+        return false_dependence_graph(work.sg(), machine)
     key = region_cache_key_from_digest(
         work.digest(), machine, engine, config_fingerprint
     )
-    hit = _lookup(cache, key, work.instructions, engine)
+    hit = _lookup(cache, key, work.instructions)
     if hit is not None:
         kernel, value_rows = hit
         _note_region("hit")
@@ -301,7 +350,7 @@ def cached_region_fdg_ir(
             value_rows=value_rows,
         )
     _note_region("miss")
-    fdg = false_dependence_graph(work.sg(), machine, engine=engine)
+    fdg = false_dependence_graph(work.sg(), machine)
     cache.put(key, _entry_for(fdg.kernel, engine, work.sg()))
     return fdg
 
@@ -389,10 +438,7 @@ def build_incremental_pig(
     use_regions: bool = True,
     engine: str = "bitset",
     config_fingerprint: str = "",
-    shards: int = 0,
     check_deadline: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
-    task_timeout: float = DEFAULT_TASK_TIMEOUT,
     backend: str = "reference",
 ) -> ParallelInterferenceGraph:
     """Build G for *fn* compiling only the regions the cache misses.
@@ -401,22 +447,18 @@ def build_incremental_pig(
     (:func:`~repro.analysis.regions.schedule_regions` +
     :func:`~repro.deps.schedule_graph.region_schedule_graph`), looks
     every region kernel up by :class:`~repro.cache.keys.
-    RegionCacheKey`, rebuilds the misses — in process, or fanned over
-    the warm worker pool when ``shards >= 2`` and more than one region
-    missed — and stitches hits and rebuilds onto the web graph in
-    region order.  Output is bit-identical to
-    :func:`~repro.core.parallel_interference.
+    RegionCacheKey`, rebuilds the misses, and stitches hits and
+    rebuilds onto the web graph in region order.  Output is
+    bit-identical to :func:`~repro.core.parallel_interference.
     build_parallel_interference_graph` with the same *engine*.
 
     Fault-armed processes bypass the store in both directions and
-    rebuild everything (the fan-out path is also skipped: a worker
-    would re-arm the faults, and this path exists to test them, not to
-    race them).
+    rebuild everything.
     """
-    if engine not in SHARDABLE_ENGINES:
+    if engine not in CACHEABLE_ENGINES:
         raise InputError(
             "incremental PIG build needs one of {}, got {!r}".format(
-                "/".join(SHARDABLE_ENGINES), engine
+                "/".join(CACHEABLE_ENGINES), engine
             )
         )
     tracer = get_tracer()
@@ -425,7 +467,6 @@ def build_incremental_pig(
         "pig.incremental.build",
         function=fn.name,
         engine=engine,
-        shards=shards,
     ):
         interference = interference_for_backend(fn, backend)
         def_to_web = web_of_definition(interference.webs)
@@ -479,7 +520,7 @@ def build_incremental_pig(
                 work.digest(), machine, engine, config_fingerprint
             )
             keys[slot] = key
-            hit = _lookup(cache, key, work.instructions, engine)
+            hit = _lookup(cache, key, work.instructions)
             if hit is not None:
                 kernels[slot], value_rows[slot] = hit
             else:
@@ -487,21 +528,12 @@ def build_incremental_pig(
         _note_region("hit", len(kernels))
         _note_region("miss", len(missed))
 
-        # Phase 2: rebuild the misses.  The warm pool is worth its
-        # dispatch overhead only for a real fan-out.
-        if shards >= 2 and len(missed) >= 2 and not armed:
-            _build_missing_pooled(
-                fn, machine, engine, works, missed, kernels,
-                shards, check_deadline, pool, task_timeout,
-            )
+        # Phase 2: rebuild the misses.
         for slot in missed:
-            if slot in kernels:
-                continue
             if check_deadline is not None:
                 check_deadline()
             kernels[slot] = false_dependence_graph(
-                works[slot].sg(), machine,
-                check_deadline=check_deadline, engine=engine,
+                works[slot].sg(), machine, check_deadline=check_deadline
             ).kernel
         for slot in missed:
             key = keys.get(slot)
@@ -533,14 +565,7 @@ def build_incremental_pig(
                     value_rows=value_rows.get(slot),
                 )
             false_graphs.append(fdg)
-            if engine == "vector":
-                _splice_false_edges_vector(
-                    fdg.kernel, def_to_web, graph,
-                    check_deadline=check_deadline,
-                    inter_graph=interference.graph,
-                )
-            else:
-                _splice_false_edges(fdg.kernel, def_to_web, graph)
+            _splice_false_edges(fdg.kernel, def_to_web, graph)
         _note_region("compose")
         tracer.event(
             "pig.incremental.done",
@@ -558,69 +583,3 @@ def build_incremental_pig(
             machine=machine,
         )
 
-
-def _build_missing_pooled(
-    fn: Function,
-    machine: MachineDescription,
-    engine: str,
-    works: List[_RegionWork],
-    missed: List[int],
-    kernels: Dict[int, object],
-    shards: int,
-    check_deadline: Optional[Callable[[], None]],
-    pool: Optional[WorkerPool],
-    task_timeout: float,
-) -> None:
-    """Fan the missed regions over the warm pool, filling *kernels*
-    for every region that comes back well-formed.  Anything else —
-    crash, timeout, poisoned rows — is simply left missing and the
-    caller rebuilds it in process; a partial fan-out never loses
-    correctness, only speed."""
-    fn_text = format_function(fn)
-    owned_pool = pool is None
-    active_pool = _pool_for(shards) if owned_pool else pool
-    run_id = uuid.uuid4().hex[:8]
-    metrics = get_metrics()
-
-    outcomes: Dict[int, WorkerOutcome] = {}
-    inflight: Dict[str, Tuple[int, PoolHandle]] = {}
-    try:
-        for slot in missed:
-            region = works[slot].region
-            while len(inflight) >= active_pool.size:
-                _collect_done(active_pool, inflight, outcomes, check_deadline)
-            if check_deadline is not None:
-                check_deadline()
-            task_id = "incr-{}-r{}".format(run_id, region.index)
-            payload = build_region_payload(
-                fn_text, fn.name, machine, region, engine, task_id
-            )
-            handle = active_pool.dispatch(
-                CompileTask(task_id=task_id, name=fn.name, text=fn_text),
-                payload,
-                timeout=task_timeout,
-            )
-            inflight[task_id] = (slot, handle)
-            metrics.counter("pig.shard.dispatched").inc()
-        while inflight:
-            _collect_done(active_pool, inflight, outcomes, check_deadline)
-    except BaseException:
-        # Same discipline as build_sharded_pig: busy workers with
-        # unread frames would desync a reused pool.
-        active_pool.shutdown()
-        raise
-
-    for slot, outcome in outcomes.items():
-        if outcome.kind != "result":
-            metrics.counter("pig.shard.fallback_local").inc()
-            continue
-        kernel = _kernel_from_report(
-            (outcome.result or {}).get("report"),
-            works[slot].instructions,
-            engine,
-        )
-        if kernel is None:
-            metrics.counter("pig.shard.fallback_local").inc()
-            continue
-        metrics.counter("pig.shard.completed").inc()
-        kernels[slot] = kernel

@@ -93,12 +93,10 @@ def find_false_dependences(
             otherwise per block.
         include_anti: Also report introduced anti edges landing in E_f.
         engine: ``"bitset"`` (default) derives E_f via the word-parallel
-            kernel; ``"vector"`` uses the packed-uint64 kernel
-            (:mod:`repro.deps.vector`); ``"reference"`` uses the
-            retained set-based pipeline
-            — the hardened driver passes the engine its PIG phase
-            settled on so a degraded compile stays off the failed
-            kernel.
+            kernel; ``"reference"`` uses the retained set-based
+            pipeline — the hardened driver passes the engine its PIG
+            phase settled on so a degraded compile stays off the
+            failed kernel.
         region_cache: Optional region-kernel
             :class:`~repro.cache.store.CompileCache`.  The check runs
             the same per-region kernels the PIG phase does over the
@@ -112,7 +110,7 @@ def find_false_dependences(
     Raises:
         IRError: when the two functions' instructions do not correspond.
     """
-    if engine not in ("vector", "bitset", "reference"):
+    if engine not in ("bitset", "reference"):
         raise IRError("unknown dependence engine {!r}".format(engine))
     allocated_by_uid: Dict[int, Instruction] = {
         instr.uid: instr for instr in allocated.instructions()

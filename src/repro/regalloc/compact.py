@@ -15,7 +15,7 @@ Equivalence contract (pinned by ``tests/regalloc/test_compact.py``):
 * :func:`build_compact_interference` produces exactly the edge set of
   :func:`repro.regalloc.interference.build_interference_graph` —
   the interval extraction and stabbing logic are shared, only the edge
-  sink differs (bitrows, bulk-set under numpy, instead of
+  sink differs (bitrows, bulk-set with numpy, instead of
   ``Graph.add_edge``).
 * :func:`compact_chaitin_color` reproduces the worklist reference
   :func:`repro.regalloc.chaitin.chaitin_color` node for node — same
@@ -30,7 +30,9 @@ Equivalence contract (pinned by ``tests/regalloc/test_compact.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.defuse import DefUseChains, shared_def_use_chains
 from repro.analysis.liveness import (
@@ -41,15 +43,11 @@ from repro.analysis.liveness import (
 )
 from repro.analysis.reaching import DefPoint, reaching_definitions
 from repro.analysis.webs import Web, build_webs, web_of_definition
-from repro.deps.vector import HAVE_NUMPY, unpack_rows, words_for
 from repro.ir.function import Function
 from repro.ir.operands import Register
 from repro.regalloc.interference import InterferenceGraph, _interval_owner
 from repro.utils.errors import AllocationError
 from repro.utils.faults import trip
-
-if HAVE_NUMPY:  # pragma: no cover - exercised via HAVE_NUMPY branches
-    import numpy as _np
 
 __all__ = [
     "CompactColoring",
@@ -60,7 +58,6 @@ __all__ = [
     "compact_chaitin_color",
     "compact_classic_h",
     "compact_graph_from_nx",
-    "region_interference_rows",
 ]
 
 
@@ -243,48 +240,28 @@ def _block_owned_spans(
     return starts, his, widx
 
 
-def _stab_pairs_python(
-    starts: List[int], his: List[int], widx: List[int], adj: List[int]
-) -> None:
-    """Portable stabbing: set adjacency bits for every conflicting
-    span pair of one block (same query as the reference builder)."""
-    from bisect import bisect_left, bisect_right
-
-    order = sorted(range(len(starts)), key=lambda k: starts[k])
-    def_positions = [starts[k] for k in order]
-    for i in range(len(starts)):
-        wa = widx[i]
-        for k in range(
-            bisect_left(def_positions, starts[i]),
-            bisect_right(def_positions, his[i]),
-        ):
-            wb = widx[order[k]]
-            if wa != wb:
-                adj[wa] |= 1 << wb
-                adj[wb] |= 1 << wa
-
-
-def _stab_pairs_numpy(
+def _stab_pairs(
     starts: List[int], his: List[int], widx: List[int]
-) -> Tuple["object", "object"]:
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Vectorized stabbing for one block: returns the conflicting web
-    index pair arrays (one direction; the caller mirrors them)."""
-    s = _np.asarray(starts, dtype=_np.int64)
-    h = _np.asarray(his, dtype=_np.int64)
-    w = _np.asarray(widx, dtype=_np.int64)
-    order = _np.argsort(s, kind="stable")
+    index pair arrays (one direction; the caller mirrors them), or
+    ``(None, None)`` when no span pair conflicts."""
+    s = np.asarray(starts, dtype=np.int64)
+    h = np.asarray(his, dtype=np.int64)
+    w = np.asarray(widx, dtype=np.int64)
+    order = np.argsort(s, kind="stable")
     sorted_starts = s[order]
-    lo = _np.searchsorted(sorted_starts, s, side="left")
-    hi = _np.searchsorted(sorted_starts, h, side="right")
+    lo = np.searchsorted(sorted_starts, s, side="left")
+    hi = np.searchsorted(sorted_starts, h, side="right")
     counts = hi - lo
     total = int(counts.sum())
     if not total:
         return None, None
-    ii = _np.repeat(_np.arange(len(s)), counts)
+    ii = np.repeat(np.arange(len(s)), counts)
     # Concatenated ranges lo[i]..hi[i]: a flat arange minus each
     # range's replayed base offset.
-    bases = _np.repeat(_np.cumsum(counts) - counts - lo, counts)
-    jj = order[_np.arange(total) - bases]
+    bases = np.repeat(np.cumsum(counts) - counts - lo, counts)
+    jj = order[np.arange(total) - bases]
     wa = w[ii]
     wb = w[jj]
     keep = wa != wb
@@ -292,32 +269,21 @@ def _stab_pairs_numpy(
 
 
 def build_compact_interference(
-    fn: Function,
-    closed_end: bool = False,
-    only_blocks: Optional[Sequence[str]] = None,
-    collect_edges: bool = True,
+    fn: Function, closed_end: bool = False
 ) -> CompactInterference:
     """Build G_r for *fn* on bitrows.
 
     Same construction as the reference builder — shared interval
     extraction, shared owner lookup, shared stabbing query — with the
-    edge sink swapped for bitrow bulk insertion (numpy ``bitwise_or.at``
-    over a packed uint64 matrix when available, big-int bit-sets
-    otherwise), bitrow liveness, and the reaching-definition pass
-    skipped when no block is entered with a locally-defined register
-    live (the only case the owner lookup consults it).
+    edge sink swapped for bitrow bulk insertion (numpy
+    ``bitwise_or.at`` over a packed uint64 matrix), bitrow liveness,
+    and the reaching-definition pass skipped when no block is entered
+    with a locally-defined register live (the only case the owner
+    lookup consults it).
 
     Args:
         fn: The function (single- or multi-block).
         closed_end: Closed-interval convention (as in the reference).
-        only_blocks: Restrict edge/interval extraction to these block
-            names (the whole-pipeline shard workers build one region's
-            contribution; webs and liveness stay global).
-        collect_edges: With False, skip the stabbing entirely and
-            return an edgeless graph — webs, liveness, and
-            ``intervals_of`` are still complete.  This is the parent's
-            skeleton in the sharded build: the quadratic pair work is
-            what the workers ship back as rows.
     """
     rows = live_variables_rows(fn)
     index = rows.index
@@ -342,39 +308,39 @@ def build_compact_interference(
     n = len(webs)
     adj = [0] * n
     intervals_of: Dict[Web, List[LiveInterval]] = {web: [] for web in webs}
-    block_filter = set(only_blocks) if only_blocks is not None else None
 
-    pair_a: List["object"] = []
-    pair_b: List["object"] = []
+    pair_a: List[np.ndarray] = []
+    pair_b: List[np.ndarray] = []
     for block in fn.blocks():
-        if block_filter is not None and block.name not in block_filter:
-            continue
         starts, his, widx = _block_owned_spans(
             block, rows, def_to_web, reach_in_defs, intervals_of, closed_end
         )
-        if not starts or not collect_edges:
+        if not starts:
             continue
-        if HAVE_NUMPY:
-            wa, wb = _stab_pairs_numpy(starts, his, widx)
-            if wa is not None:
-                pair_a.append(wa)
-                pair_b.append(wb)
-        else:
-            _stab_pairs_python(starts, his, widx, adj)
+        wa, wb = _stab_pairs(starts, his, widx)
+        if wa is not None:
+            pair_a.append(wa)
+            pair_b.append(wb)
 
-    if HAVE_NUMPY and pair_a:
-        a = _np.concatenate(pair_a)
-        b = _np.concatenate(pair_b)
-        words = words_for(n)
-        packed = _np.zeros((n, words), dtype=_np.uint64)
-        rows_idx = _np.concatenate([a, b])
-        cols = _np.concatenate([b, a])
-        _np.bitwise_or.at(
+    if pair_a:
+        a = np.concatenate(pair_a)
+        b = np.concatenate(pair_b)
+        words = (n + 63) // 64
+        packed = np.zeros((n, words), dtype=np.uint64)
+        rows_idx = np.concatenate([a, b])
+        cols = np.concatenate([b, a])
+        np.bitwise_or.at(
             packed,
             (rows_idx, cols >> 6),
-            _np.left_shift(_np.uint64(1), (cols & 63).astype(_np.uint64)),
+            np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)),
         )
-        adj = unpack_rows(packed, n)
+        # Packed little-endian words back to one big-int row per web.
+        data = packed.astype("<u8", copy=False).tobytes()
+        nbytes = words * 8
+        adj = [
+            int.from_bytes(data[off:off + nbytes], "little")
+            for off in range(0, len(data), nbytes)
+        ]
 
     return CompactInterference(
         graph=CompactGraph.from_rows(adj),
@@ -384,32 +350,6 @@ def build_compact_interference(
         chains=chains,
         function=fn,
     )
-
-
-def region_interference_rows(
-    fn: Function, block_names: Sequence[str], closed_end: bool = False
-) -> Tuple[List[int], List[Tuple[int, str, int, int, Optional[int]]]]:
-    """One region's interference contribution in wire-friendly form.
-
-    Returns ``(adjacency bitrows over global web indices, intervals)``
-    where each interval is ``(web_index, block, start, end, def_uid)``
-    — what a whole-pipeline shard worker ships back.  Webs and liveness
-    are global (deterministic on both sides of the wire); only the
-    interval extraction and stabbing are restricted to the region.
-    """
-    compact = build_compact_interference(
-        fn, closed_end=closed_end, only_blocks=block_names
-    )
-    intervals: List[Tuple[int, str, int, int, Optional[int]]] = []
-    for web in compact.webs:
-        for iv in compact.intervals_of[web]:
-            uid = (
-                iv.defining_instruction.uid
-                if iv.defining_instruction is not None
-                else None
-            )
-            intervals.append((web.index, iv.block, iv.start, iv.end, uid))
-    return compact.graph.adj, intervals
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.sched.global_scheduler import (
 )
 from repro.sched.list_scheduler import (
     Schedule,
-    compact_list_schedule,
     critical_path_priority,
     inorder_issue_schedule,
     list_schedule,
@@ -43,7 +42,6 @@ __all__ = [
     "analyze_ep",
     "augmented_schedule",
     "compact_augmented_schedule",
-    "compact_list_schedule",
     "critical_path_priority",
     "ep_linear_order",
     "initial_ep",

@@ -245,111 +245,6 @@ class _CompactReservation:
             self._mem_in_cycle.setdefault(cycle, []).append(idx)
 
 
-def compact_list_schedule(
-    sg: ScheduleGraph,
-    machine: MachineDescription,
-    priority: Optional[PriorityFn] = None,
-) -> Schedule:
-    """Array-based fast path of :func:`list_schedule`.
-
-    Bit-identical output (the equivalence suite pins it): same
-    priority, same (-priority, uid) candidate order, same per-cycle
-    pass semantics.  The speed comes from three changes that provably
-    cannot alter the result: candidates wait in a heap keyed by ready
-    cycle instead of being re-filtered and re-sorted from the whole
-    ready list every pass; a candidate the reservation table rejects is
-    not retried within the same cycle (table occupancy only grows
-    during a cycle, so a failed ``can_issue`` cannot succeed until the
-    cycle advances); and cycles with no ready candidates are skipped in
-    one step instead of iterated.
-
-    *priority* must be a pure function of the instruction (the default
-    critical-path priority is); it is evaluated once per instruction.
-    """
-    sg.check_acyclic()
-    if priority is None:
-        priority = critical_path_priority(sg)
-
-    import heapq
-
-    instrs = list(sg.instructions)
-    n = len(instrs)
-    if not n:
-        return Schedule(cycle_of={}, machine=machine)
-    pos = {instr: k for k, instr in enumerate(instrs)}
-    neg_prio = [-float(priority(i)) for i in instrs]
-    uids = [i.uid for i in instrs]
-    succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in sg.edges():
-        ui, vi = pos[u], pos[v]
-        succs[ui].append((vi, sg.delay(u, v)))
-        indeg[vi] += 1
-
-    table = _CompactReservation(machine, instrs)
-    ready_at = [0] * n
-    cycle_of_idx = [-1] * n
-    pending: List[Tuple[int, float, int, int]] = [
-        (0, neg_prio[k], uids[k], k) for k in range(n) if indeg[k] == 0
-    ]
-    heapq.heapify(pending)
-    blocked: List[Tuple[float, int, int]] = []
-
-    cycle = 0
-    scheduled = 0
-    max_cycles = sum(table.lat) + n + 1
-    while scheduled < n:
-        if cycle > max_cycles * 2 + 10:
-            raise SchedulingError("list scheduler failed to make progress")
-        batch = blocked
-        blocked = []
-        while pending and pending[0][0] <= cycle:
-            _, negp, uid, idx = heapq.heappop(pending)
-            batch.append((negp, uid, idx))
-        if not batch:
-            if not pending:
-                raise SchedulingError(
-                    "list scheduler failed to make progress"
-                )
-            cycle = max(cycle + 1, pending[0][0])
-            continue
-        batch.sort()
-        current = batch
-        while current:
-            fresh: List[Tuple[float, int, int]] = []
-            for entry in current:
-                idx = entry[2]
-                if not table.can_issue(idx, cycle):
-                    blocked.append(entry)
-                    continue
-                table.issue(idx, cycle)
-                cycle_of_idx[idx] = cycle
-                scheduled += 1
-                for s, delay in succs[idx]:
-                    earliest = cycle + delay
-                    if ready_at[s] < earliest:
-                        ready_at[s] = earliest
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        if ready_at[s] <= cycle:
-                            fresh.append((neg_prio[s], uids[s], s))
-                        else:
-                            heapq.heappush(
-                                pending,
-                                (ready_at[s], neg_prio[s], uids[s], s),
-                            )
-            fresh.sort()
-            current = fresh
-        cycle += 1
-
-    schedule = Schedule(
-        cycle_of={instrs[k]: cycle_of_idx[k] for k in range(n)},
-        machine=machine,
-    )
-    schedule.verify(sg)
-    return schedule
-
-
 def inorder_issue_schedule(
     instructions: Sequence[Instruction],
     sg: ScheduleGraph,

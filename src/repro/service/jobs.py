@@ -14,7 +14,10 @@ Per-job policy, in dispatch order:
    settled ``deadline-exceeded`` without burning a worker; otherwise
    the remaining budget is folded into the worker's ``DriverConfig.
    time_budget`` (the existing mid-phase ``check_deadline`` preemption
-   path) *and* caps the hard kill timeout.
+   path) *and* caps the hard kill timeout.  A worker that aborts on
+   that budget once the deadline has passed settles the job
+   ``deadline-exceeded`` too, and is not counted against the circuit
+   breaker: the client ran out of time, the compiler did not fail.
 2. **Coalescing** — jobs are keyed by the compile-cache key (input
    digest + machine + strategy + config + version).  A job whose key
    matches a queued/running job attaches to it as a *follower*: one
@@ -55,7 +58,7 @@ from collections import deque
 from repro.cache import CompileCache, compile_cache_key
 from repro.machine.presets import ALL_PRESETS
 from repro.obs import get_metrics, get_tracer
-from repro.pipeline.driver import DriverConfig
+from repro.pipeline.driver import BUDGET_EXHAUSTED, DriverConfig
 from repro.service.batch import CIRCUIT_RUNG, PRIMARY_RUNG, RetryPolicy
 from repro.service.checkpoint import RunLedger
 from repro.service.circuit import CircuitBreaker
@@ -74,6 +77,24 @@ JOB_DONE = "done"
 #: ``interrupted`` (drain cancelled it; journaled as resumable).
 STATUS_DEADLINE = "deadline-exceeded"
 STATUS_INTERRUPTED = "interrupted"
+
+
+def _aborted_on_budget(result: Dict[str, object]) -> bool:
+    """True when a worker result is the driver aborting on its
+    wall-clock ``time_budget`` rather than failing to compile."""
+    if result.get("failure_kind") != "internal":
+        return False
+    report = result.get("report")
+    diagnostics = report.get("diagnostics") if isinstance(report, dict) \
+        else None
+    if not isinstance(diagnostics, list):
+        return False
+    return any(
+        isinstance(diag, dict)
+        and diag.get("severity") == "error"
+        and str(diag.get("message", "")).startswith(BUDGET_EXHAUSTED)
+        for diag in diagnostics
+    )
 
 
 @dataclass
@@ -582,7 +603,7 @@ class JobDispatcher:
         rung = attempt.rung
         if (
             rung == PRIMARY_RUNG
-            and self.config.engine in ("vector", "bitset")
+            and self.config.engine == "bitset"
             and not self.breaker.allow(self._breaker_key(PRIMARY_RUNG))
         ):
             rung = CIRCUIT_RUNG
@@ -637,6 +658,24 @@ class JobDispatcher:
         if outcome.kind == "result" and isinstance(result, dict) and \
                 result.get("status") != "worker-exception":
             completed_ok = result.get("exit_code") == 0
+            remaining = job.remaining()
+            if (
+                not completed_ok
+                and remaining is not None
+                and remaining <= 0
+                and _aborted_on_budget(result)
+            ):
+                # The worker's budget was this job's request deadline:
+                # the client ran out of time, the compiler did not
+                # fail, so the breaker does not hear about it.
+                with self._lock:
+                    self.stats["deadline_exceeded"] += 1
+                    self._settle_locked(
+                        job, STATUS_DEADLINE, exit_code=1,
+                        message="compile preempted at the request deadline",
+                    )
+                get_metrics().counter("serve.deadline_exceeded").inc()
+                return
             if completed_ok:
                 self.breaker.record_success(key)
                 if (

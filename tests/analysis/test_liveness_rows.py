@@ -1,6 +1,6 @@
 """Packed bitrow liveness (`live_variables_rows`) must be
 bit-identical to the frozenset solver — same fixpoint, same boundary
-injection, same per-instruction masks — over the paper examples, CFG
+injection, same per-block use/def masks — over the paper examples, CFG
 workloads, the fuzz corpus, and degenerate shapes.
 """
 
@@ -12,8 +12,6 @@ from repro.analysis.liveness import (
     block_use_def_masks,
     live_variables,
     live_variables_rows,
-    per_instruction_liveness,
-    per_instruction_liveness_rows,
 )
 from repro.ir.function import Function
 from repro.workloads import example1, example2, figure6_diamond
@@ -52,21 +50,6 @@ def test_use_def_masks_match_sets(fn):
         use_mask, def_mask = block_use_def_masks(block, index)
         assert index.registers_of(use_mask) == uses
         assert index.registers_of(def_mask) == defs
-
-
-@pytest.mark.parametrize("fn", _corpus()[:4], ids=lambda f: f.name)
-def test_per_instruction_rows_match_sets(fn):
-    info = live_variables(fn)
-    index = RegisterIndex.build(fn)
-    for block in fn.blocks():
-        live_out = info.live_out[block.name]
-        want = per_instruction_liveness(block, live_out)
-        got = per_instruction_liveness_rows(
-            block, index.mask_of(live_out), index
-        )
-        assert len(got) == len(want)
-        for mask, registers in zip(got, want):
-            assert index.registers_of(mask) == registers
 
 
 def test_register_index_round_trip():

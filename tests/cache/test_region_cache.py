@@ -317,3 +317,120 @@ class TestRegionCacheHonesty:
             close = getattr(runner, "close", None)
             if close is not None:
                 close()
+
+
+# ----------------------------------------------------------------------
+# Entry codec: hex wire rows and poisoned-entry validation
+# ----------------------------------------------------------------------
+
+
+def _first_region_kernel():
+    from repro.deps.false_dependence import false_dependence_graph
+
+    machine = two_unit_superscalar()
+    fn = diamond_chain(num_diamonds=2, block_size=8, seed=0)
+    sg = _first_region_sg(fn, machine)
+    return sg, false_dependence_graph(sg, machine).kernel
+
+
+class TestEntryCodec:
+    def test_hex_rows_round_trip(self):
+        from repro.pipeline.incremental import rows_from_hex, rows_to_hex
+
+        rows = [0, 1, (1 << 64) | 5, (1 << 130) - 1]
+        assert rows_from_hex(rows_to_hex(rows)) == rows
+        # The on-disk form: bare lower-case hex, no prefix.
+        assert rows_to_hex([0, 10, 1 << 64]) == [
+            "0", "a", "10000000000000000",
+        ]
+
+    def test_report_layout(self):
+        from repro.pipeline.incremental import kernel_to_report
+
+        sg, kernel = _first_region_kernel()
+        report = kernel_to_report(kernel, "bitset")
+        n = len(sg.instructions)
+        assert report == {
+            "kind": "pig_region",
+            "engine": "bitset",
+            "n": n,
+            "reach": [format(r, "x") for r in kernel.reach_rows],
+            "contention": [format(r, "x") for r in kernel.contention_rows],
+            "et": [format(r, "x") for r in kernel.et_rows],
+            "ef": [format(r, "x") for r in kernel.ef_rows],
+        }
+        # JSON-safe, as the disk tier stores it.
+        assert json.loads(json.dumps(report)) == report
+
+    def test_kernel_round_trip(self):
+        from repro.pipeline.incremental import (
+            _kernel_from_report,
+            kernel_to_report,
+        )
+
+        sg, kernel = _first_region_kernel()
+        rebuilt = _kernel_from_report(
+            kernel_to_report(kernel, "bitset"), list(sg.instructions)
+        )
+        assert rebuilt is not None
+        assert rebuilt.index.instructions == kernel.index.instructions
+        for family in ("reach_rows", "contention_rows", "et_rows", "ef_rows"):
+            assert getattr(rebuilt, family) == getattr(kernel, family)
+
+    @pytest.mark.parametrize("poison", [
+        "not-a-dict",
+        "wrong-kind",
+        "wrong-n",
+        "missing-family",
+        "short-family",
+        "bad-hex",
+        "non-string-row",
+    ])
+    def test_poisoned_report_rejected(self, poison):
+        from repro.pipeline.incremental import (
+            _kernel_from_report,
+            kernel_to_report,
+        )
+
+        sg, kernel = _first_region_kernel()
+        report = kernel_to_report(kernel, "bitset")
+        if poison == "not-a-dict":
+            report = "<<poisoned-result>>"
+        elif poison == "wrong-kind":
+            report["kind"] = "interference_region"
+        elif poison == "wrong-n":
+            report["n"] += 1
+        elif poison == "missing-family":
+            del report["et"]
+        elif poison == "short-family":
+            report["ef"] = report["ef"][:-1]
+        elif poison == "bad-hex":
+            report["reach"][0] = "zz"
+        elif poison == "non-string-row":
+            report["contention"][0] = None
+        assert _kernel_from_report(report, list(sg.instructions)) is None
+
+    def test_poisoned_entry_degrades_to_rebuild(self):
+        from repro.cache.keys import region_cache_key
+        from repro.pipeline.incremental import cached_region_fdg
+
+        machine = two_unit_superscalar()
+        sg, kernel = _first_region_kernel()
+        cache = CompileCache(capacity=8)
+        key = region_cache_key(sg, machine, "bitset", "")
+        cache.put(key, {
+            "status": "ok",
+            "exit_code": 0,
+            "failure_kind": None,
+            "metrics": None,
+            "report": {"kind": "pig_region", "n": -1},
+        })
+        fdg = cached_region_fdg(sg, machine, "bitset", cache)
+        assert fdg.kernel.ef_rows == kernel.ef_rows
+        assert fdg.kernel.et_rows == kernel.et_rows
+        # The poisoned entry was read, rejected, and overwritten by
+        # the rebuilt kernel.
+        stats = cache.snapshot()
+        assert stats["hits"] == 1 and stats["stores"] == 2
+        again = cached_region_fdg(sg, machine, "bitset", cache)
+        assert again.kernel.ef_rows == kernel.ef_rows

@@ -80,59 +80,6 @@ class TestKernelCallback:
             )
 
 
-class TestVectorKernelCallback:
-    """The vector engine keeps the stride-64 poll contract: its
-    level-batched closure loops call ``check_deadline`` mid-build on
-    both backends."""
-
-    def test_callback_is_polled(self, sg, machine):
-        from repro.deps.vector import VectorDependenceKernel
-
-        calls = []
-        kernel = VectorDependenceKernel.build(
-            sg, machine, check_deadline=lambda: calls.append(1)
-        )
-        # The level-batched closure polls per level batch, so a small
-        # graph sees fewer polls than the per-node bitset loop — but
-        # never zero.
-        assert calls
-        assert kernel is not None
-
-    def test_callback_exception_preempts_build(self, sg, machine):
-        from repro.deps.vector import VectorDependenceKernel
-
-        with pytest.raises(BudgetExceededError):
-            VectorDependenceKernel.build(sg, machine, check_deadline=_expired)
-
-    def test_portable_backend_polls_too(self, sg, machine, monkeypatch):
-        import repro.deps.vector as vector_mod
-
-        monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
-        with pytest.raises(BudgetExceededError):
-            vector_mod.VectorDependenceKernel.build(
-                sg, machine, check_deadline=_expired
-            )
-
-    def test_vector_pig_build_forwards(self, machine):
-        with pytest.raises(BudgetExceededError):
-            build_parallel_interference_graph(
-                example1(), machine, engine="vector",
-                check_deadline=_expired,
-            )
-
-    def test_stalled_vector_pig_phase_is_preempted(self, machine):
-        # Same driver-level property as the bitset rung: the budget
-        # fires inside the vectorized pig phase, not at a boundary.
-        driver = CompilationDriver(
-            machine,
-            config=DriverConfig(engine="vector", time_budget=0.05),
-        )
-        with faults.inject("phase.pig", action="stall", seconds=0.3):
-            outcome = driver.compile_function(example1())
-        assert not outcome.ok
-        assert outcome.report.exit_code == EXIT_INTERNAL
-
-
 class TestDriverMidPhase:
     def test_stalled_pig_phase_is_preempted(self, machine):
         # The stall fires *inside* the pig phase, after the boundary

@@ -187,6 +187,30 @@ class TestHardenedCompile:
         assert payload["reports"][0]["diagnostics"][0]["phase"] == "parse"
 
 
+class TestEngineChoices:
+    """The dependence engine choices are exactly ``bitset`` and
+    ``reference`` on every command that takes one."""
+
+    @pytest.mark.parametrize("engine", ["vector", "auto"])
+    def test_compile_rejects_retired_engines(self, src_file, engine, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", src_file, "--pig-engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_service_commands_reject_vector(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--engine", "vector"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["bitset", "reference"])
+    def test_compile_accepts_remaining_engines(self, src_file, engine, capsys):
+        assert main(["compile", src_file, "--pig-engine", engine]) == 0
+        assert "strategy=pinter" in capsys.readouterr().out
+
+
 class TestGraphCommand:
     @pytest.mark.parametrize("kind", ["cfg", "gs", "fdg", "ig", "pig"])
     def test_all_kinds(self, src_file, kind, capsys):
@@ -225,7 +249,6 @@ class TestBenchCommand:
             ("e7-n8", phase)
             for phase in (
                 "pig_construction",
-                "pig_construction_vector",
                 "pig_construction_reference",
                 "closure",
                 "closure_reference",

@@ -75,6 +75,9 @@ INCR_OVER_COLD_MIN = 3.0
 #: kernel-path floor.
 E2E_INCR_OVER_COLD_MIN = 1.4
 
+#: The dependence engine timed (the only one the region cache serves).
+ENGINE = "bitset"
+
 #: A source line whose trailing integer immediate we can bump without
 #: changing the dependence structure of any region.
 _EDITABLE = re.compile(r"^(\s+\S+ = (?:add|sub|mul) \S+, )(\d+)$")
@@ -200,10 +203,6 @@ def main(argv=None) -> int:
         "--seed", type=int, default=0, help="workload seed"
     )
     parser.add_argument(
-        "--engine", default="bitset", choices=("bitset", "vector"),
-        help="dependence engine (default bitset)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3, metavar="R",
         help="best-of-R timing (default 3)",
     )
@@ -236,8 +235,7 @@ def main(argv=None) -> int:
                 store_dir = tempfile.mkdtemp(prefix="bench-incr-store-")
                 try:
                     walls, stats = runner(
-                        base_text, edited_text, machine, args.engine,
-                        store_dir,
+                        base_text, edited_text, machine, ENGINE, store_dir,
                     )
                 finally:
                     shutil.rmtree(store_dir, ignore_errors=True)
@@ -259,7 +257,7 @@ def main(argv=None) -> int:
             "workload": workload,
             "phase": phase,
             "wall_s": round(wall, 6),
-            "engine": args.engine,
+            "engine": ENGINE,
             "diamonds": args.diamonds,
             "block_size": args.block_size,
             "region_hits": stat["hits"],
