@@ -18,19 +18,17 @@ bench:
 bench-check: bench
 	PYTHONPATH=src python tools/bench_compare.py auto BENCH_current.json
 
-# Time the batch transports (fork-per-task vs warm pool vs compile
-# cache).  The committed baseline is BENCH_pr5.json.
+# Time the batch service (cold warm pool vs compile cache).  The
+# committed baselines are BENCH_pr5.json and BENCH_pr8.json.
 bench-batch:
 	PYTHONPATH=src python tools/bench_batch.py -o BENCH_batch_current.json
 
-# Machine-independent throughput floors on a fresh run: the warm pool
-# must stay >= 2x fork-per-task, the warm cache >= 10x a cold pool,
-# and pure sharded-disk hits (fresh instance, empty memory tier)
-# >= 5x a cold pool — i.e. PR 8's sharded store does not regress the
-# PR 5 warm-cache floor.
+# Machine-independent throughput floors on a fresh run: the warm cache
+# must stay >= 10x a cold pool, and pure sharded-disk hits (fresh
+# instance, empty memory tier) >= 5x a cold pool — i.e. PR 8's sharded
+# store does not regress the PR 5 warm-cache floor.
 bench-batch-check: bench-batch
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_batch_current.json \
-		--ratio-max batch-fuzz-200:pool_cold/fork_cold=0.5 \
 		--ratio-max batch-fuzz-200:pool_warm_cache/pool_cold=0.1 \
 		--ratio-max batch-fuzz-200:disk_warm/pool_cold=0.2
 
@@ -57,10 +55,8 @@ bench-backend:
 # The PR-10 machine-independent floor on a fresh run: compact must
 # stay >= 3x faster than reference on the interference and coloring
 # phases of the n=2048 block (same run, interleaved timing).
-# --skip-cfg keeps CI off the liveness scaling rows, which carry no
-# floor.
 bench-backend-check:
-	PYTHONPATH=src python tools/bench_backend.py --skip-cfg --check \
+	PYTHONPATH=src python tools/bench_backend.py --check \
 		-o BENCH_backend_current.json
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_backend_current.json \
 		--ratio-max backend-n2048:interference_compact/interference_reference=0.3334 \

@@ -12,7 +12,7 @@
     python -m repro batch --fuzz 50 --task-timeout 10 --json-summary
     python -m repro batch --fuzz 50 --trace run-trace.jsonl --metrics
     python -m repro batch --fuzz 50 --cache-dir .repro-cache --ledger r.jsonl
-    python -m repro batch manifest.txt --no-pool --no-cache
+    python -m repro batch manifest.txt --max-tasks-per-worker 1 --no-cache
     python -m repro serve --port 8437 --pool-size 4 --cache
     python -m repro serve --port 0 --ledger serve.jsonl --max-queue-depth 32
     python -m repro stats run-trace.jsonl --check
@@ -354,7 +354,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
-        backend="compact" if args.backend == "auto" else args.backend,
+        backend=args.backend,
     )
     runner = BatchRunner(
         machine=args.machine,
@@ -370,7 +370,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         resume_path=args.resume,
         recheck_degraded=args.recheck_degraded,
         retry_failed=args.retry_failed,
-        use_pool=args.pool,
         max_tasks_per_worker=args.max_tasks_per_worker,
         cache=cache,
     )
@@ -517,7 +516,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
-        backend="compact" if args.backend == "auto" else args.backend,
+        backend=args.backend,
     )
     server = CompileServer(
         host=args.host,
@@ -837,12 +836,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
+        choices=("compact", "reference"),
+        default="compact",
         help="allocator/scheduler kernel implementation: 'compact' runs "
         "the bitrow interference + worklist coloring + array scheduler "
-        "fast paths and degrades to 'reference' on any failure "
-        "('auto' resolves to compact)",
+        "fast paths and degrades to 'reference' on any failure",
     )
     _add_region_cache_flags(p_compile)
     p_compile.add_argument(
@@ -891,17 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
         "killed (SIGTERM then SIGKILL)",
     )
     p_batch.add_argument(
-        "--pool", dest="pool", action="store_true", default=True,
-        help="dispatch to a persistent warm worker pool (default): "
-        "workers import the pipeline once and serve many tasks",
-    )
-    p_batch.add_argument(
-        "--no-pool", dest="pool", action="store_false",
-        help="fork one worker process per attempt (the PR-4 transport)",
-    )
-    p_batch.add_argument(
         "--max-tasks-per-worker", type=int, default=256, metavar="N",
-        help="recycle a pool worker after N served tasks (leak hygiene)",
+        help="recycle a pool worker after N served tasks (leak hygiene; "
+        "1 runs every attempt in a fresh process)",
     )
     p_batch.add_argument(
         "--cache", dest="cache", action="store_true", default=None,
@@ -955,10 +945,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
-        help="allocator/scheduler kernel implementation ('auto' "
-        "resolves to compact; degrades to reference on failure)",
+        choices=("compact", "reference"),
+        default="compact",
+        help="allocator/scheduler kernel implementation (compact "
+        "degrades to reference on failure)",
     )
     p_batch.add_argument(
         "--recheck-degraded", action="store_true",
@@ -1112,10 +1102,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
-        help="allocator/scheduler kernel implementation ('auto' "
-        "resolves to compact; degrades to reference on failure)",
+        choices=("compact", "reference"),
+        default="compact",
+        help="allocator/scheduler kernel implementation (compact "
+        "degrades to reference on failure)",
     )
     p_serve.add_argument("--strict", action="store_true")
     p_serve.add_argument("--paranoid", action="store_true")

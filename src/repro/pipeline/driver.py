@@ -40,7 +40,7 @@ injection registry (:mod:`repro.utils.faults`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.core.coloring import pinter_color
@@ -274,9 +274,8 @@ class DriverConfig:
             (:mod:`repro.regalloc.compact`, the compact schedulers) and
             degrades to ``"reference"`` on any failure — or, in
             paranoid mode, on divergence from the reference
-            cross-check.  ``"auto"`` (default) resolves to
-            ``"compact"`` at driver construction.  Orthogonal to
-            ``engine``, which picks the *dependence* kernel.
+            cross-check.  Orthogonal to ``engine``, which picks the
+            *dependence* kernel.
     """
 
     strict: bool = False
@@ -289,7 +288,7 @@ class DriverConfig:
     engine: str = "bitset"
     region_cache: bool = False
     region_cache_dir: Optional[str] = None
-    backend: str = "auto"
+    backend: str = "compact"
 
     def fingerprint(self) -> str:
         """sha256 over the canonical JSON of every knob.
@@ -497,7 +496,8 @@ class CompilationDriver:
         machine: Target machine description.
         num_registers: r; defaults to ``machine.num_registers``.
         config: Driver knobs; keyword overrides (``strict=True`` …)
-            are applied on top of *config*.
+            are applied on top of a copy of *config*, which is never
+            modified.
     """
 
     #: Phase names in execution order.  Fault point ``phase.<name>``
@@ -526,16 +526,14 @@ class CompilationDriver:
             machine.num_registers if num_registers is None else num_registers
         )
         cfg = config or DriverConfig()
-        for key, value in overrides.items():
+        for key in overrides:
             if not hasattr(cfg, key):
                 raise InputError("unknown driver option {!r}".format(key))
-            setattr(cfg, key, value)
+        cfg = replace(cfg, **overrides)
         if cfg.engine not in _ENGINE_LADDER:
             raise InputError(
                 "unknown dependence engine {!r}".format(cfg.engine)
             )
-        if cfg.backend == "auto":
-            cfg.backend = "compact"
         if cfg.backend not in _BACKEND_LADDER:
             raise InputError(
                 "unknown compiler backend {!r}".format(cfg.backend)

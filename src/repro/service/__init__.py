@@ -2,9 +2,8 @@
 
 Public surface of the ``repro.service`` package: build tasks
 (:func:`load_manifest`, :func:`fuzz_tasks`), run them on isolated
-workers with retry/circuit/checkpoint policy (:class:`BatchRunner`) —
-per-attempt fork workers or a persistent :class:`WorkerPool` — or run
-a single isolated attempt (:func:`run_one`).  The long-running HTTP/JSON
+workers with retry/circuit/checkpoint policy (:class:`BatchRunner`,
+on a persistent :class:`WorkerPool`).  The long-running HTTP/JSON
 front end (:class:`CompileServer`, ``repro serve``) drives the same
 machinery as a service: token-style admission
 (:class:`SessionTable`), request coalescing and deadline-aware
@@ -60,7 +59,7 @@ from repro.service.session import (
     SessionTable,
     ShedDecision,
 )
-from repro.service.worker import WorkerOutcome, run_one
+from repro.service.worker import WorkerOutcome
 
 __all__ = [
     "BatchRunner",
@@ -100,5 +99,4 @@ __all__ = [
     "crash_suspects",
     "fuzz_tasks",
     "load_manifest",
-    "run_one",
 ]

@@ -1,8 +1,8 @@
 """The batch runner: fault-tolerant fan-out over isolated workers.
 
 :class:`BatchRunner` drives a list of :class:`~repro.service.manifest.
-CompileTask`\\ s through the hardened driver on a pool of subprocess
-workers (:mod:`repro.service.worker`), applying the fleet-level
+CompileTask`\\ s through the hardened driver on a warm pool of
+subprocess workers (:mod:`repro.service.pool`), applying the fleet-level
 containment policies the single-compile ladder cannot provide:
 
 * **Isolation** — a crash, OOM, wedged loop, or armed fault inside one
@@ -59,13 +59,7 @@ from repro.service.pool import (
     PoolHandle,
     WorkerPool,
 )
-from repro.service.worker import (
-    WorkerOutcome,
-    _kill,
-    build_payload,
-    reap_worker,
-    start_worker,
-)
+from repro.service.worker import WorkerOutcome, build_payload
 from repro.utils import faults
 from repro.utils.errors import InputError
 
@@ -331,15 +325,14 @@ class BatchRunner:
             policy): a clean strict run upgrades the task to ``ok``,
             anything else keeps the degraded result.
         kill_grace: SIGTERM→SIGKILL grace for overdue workers, seconds.
-        use_pool: Dispatch attempts to a persistent
-            :class:`~repro.service.pool.WorkerPool` instead of forking
-            one process per attempt.  Containment, retry, circuit, and
-            ledger semantics are identical — only the transport (and
-            the per-task overhead) changes.  The CLI defaults this on;
-            the library default stays off so embedders opt in.
-        max_tasks_per_worker: Pool recycling bound (pool mode only).
-        worker_idle_timeout: Pool idle recycle, seconds (pool mode
-            only; None disables).
+        use_pool: Must be True: attempts always run on a persistent
+            :class:`~repro.service.pool.WorkerPool`.  False named the
+            removed fork-per-task transport and raises
+            :class:`~repro.utils.errors.InputError`.
+        max_tasks_per_worker: Pool recycling bound; 1 runs every
+            attempt, retries included, in a fresh process.
+        worker_idle_timeout: Pool idle recycle, seconds (None
+            disables).
         cache: Optional :class:`~repro.cache.CompileCache` consulted
             before dispatch and populated from clean primary-rung
             successes.  Tasks (or batches) with armed faults bypass it
@@ -360,7 +353,7 @@ class BatchRunner:
         recheck_degraded: bool = False,
         retry_failed: bool = False,
         kill_grace: float = 0.5,
-        use_pool: bool = False,
+        use_pool: bool = True,
         max_tasks_per_worker: Optional[int] = DEFAULT_MAX_TASKS_PER_WORKER,
         worker_idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
         cache: Optional[CompileCache] = None,
@@ -381,6 +374,12 @@ class BatchRunner:
                     task_timeout
                 )
             )
+        if not use_pool:
+            raise InputError(
+                "use_pool=False: the fork-per-task transport was removed; "
+                "batches run on the worker pool (max_tasks_per_worker=1 "
+                "gives every attempt a fresh process)"
+            )
         self.machine = machine
         self.registers = registers
         self.config = driver_config or DriverConfig()
@@ -392,12 +391,15 @@ class BatchRunner:
         self.resume_path = resume_path
         self.recheck_degraded = recheck_degraded
         self.retry_failed = retry_failed
-        self.kill_grace = kill_grace
-        self.use_pool = use_pool
-        self.max_tasks_per_worker = max_tasks_per_worker
-        self.worker_idle_timeout = worker_idle_timeout
         self.cache = cache
-        self._pool: Optional[WorkerPool] = None
+        # Workers spawn lazily on first dispatch; each run ends with a
+        # shutdown, after which the pool is reusable.
+        self._pool = WorkerPool(
+            size=max_workers,
+            kill_grace=kill_grace,
+            max_tasks_per_worker=max_tasks_per_worker,
+            idle_timeout=worker_idle_timeout,
+        )
         self._stop = False
         self._wall_base = 0.0
         self._mono_base = 0.0
@@ -565,16 +567,9 @@ class BatchRunner:
                     continue
                 pending.append(_Attempt(task=task, number=1))
 
-        in_flight: List[object] = []
+        in_flight: List[PoolHandle] = []
         delayed: List[Tuple[float, _Attempt]] = []
         self._stop = False
-        if self.use_pool:
-            self._pool = WorkerPool(
-                size=self.max_workers,
-                kill_grace=self.kill_grace,
-                max_tasks_per_worker=self.max_tasks_per_worker,
-                idle_timeout=self.worker_idle_timeout,
-            )
         try:
             with self._signal_guard(install_signal_handlers), \
                     tracer.span("batch.run", tasks=len(tasks)):
@@ -587,8 +582,7 @@ class BatchRunner:
                         delayed = []
                         if not in_flight:
                             break
-                    if self._pool is not None:
-                        self._pool.maintain(now)
+                    self._pool.maintain(now)
                     due = [a for t, a in delayed if t <= now]
                     delayed = [(t, a) for t, a in delayed if t > now]
                     pending.extend(due)
@@ -604,33 +598,24 @@ class BatchRunner:
                     horizon = min(handle.deadline for handle in in_flight)
                     timeout = max(0.01, min(0.2, horizon - time.monotonic()))
                     _mp_wait(
-                        [self._waitable(handle) for handle in in_flight],
+                        [handle.waitable for handle in in_flight],
                         timeout=timeout,
                     )
                     now = time.monotonic()
                     done = [
                         handle for handle in in_flight
-                        if self._handle_done(handle, now)
+                        if handle.is_done(now)
                     ]
                     for handle in done:
                         in_flight.remove(handle)
-                        outcome = self._collect(handle)
+                        outcome = self._pool.collect(handle)
                         self._absorb(
                             handle, outcome, records, delayed, ledger,
                             progress,
                         )
         finally:
-            for handle in in_flight:  # exception safety net
-                if isinstance(handle, PoolHandle):
-                    continue  # pool shutdown below reaps these workers
-                try:
-                    _kill(handle.process, 0.1)
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
+            # Reaps every worker, in-flight ones included.
+            self._pool.shutdown()
             if ledger is not None:
                 ledger.close()
 
@@ -649,34 +634,6 @@ class BatchRunner:
         return summary
 
     # ------------------------------------------------------------------
-    # Transport adapters (fork-per-task vs pool)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _waitable(handle):
-        """What ``multiprocessing.connection.wait`` should block on:
-        the process sentinel (fork transport — readable at exit) or the
-        result pipe (pool — readable at result arrival *or* EOF)."""
-        if isinstance(handle, PoolHandle):
-            return handle.waitable
-        return handle.sentinel
-
-    @staticmethod
-    def _handle_done(handle, now: float) -> bool:
-        if isinstance(handle, PoolHandle):
-            return handle.is_done(now)
-        return not handle.process.is_alive() or now >= handle.deadline
-
-    def _collect(self, handle) -> WorkerOutcome:
-        if isinstance(handle, PoolHandle):
-            return self._pool.collect(handle)
-        return reap_worker(
-            handle,
-            timed_out=handle.process.is_alive(),
-            kill_grace=self.kill_grace,
-        )
-
-    # ------------------------------------------------------------------
     # Dispatch / outcome handling
     # ------------------------------------------------------------------
 
@@ -684,7 +641,7 @@ class BatchRunner:
         self,
         attempt: _Attempt,
         records: Dict[str, TaskRecord],
-        in_flight: List[object],
+        in_flight: List[PoolHandle],
     ) -> None:
         rec = records[attempt.task.task_id]
         if (
@@ -702,22 +659,13 @@ class BatchRunner:
         payload = build_payload(
             attempt.task, self.machine, self.registers, config
         )
-        if self._pool is not None:
-            handle = self._pool.dispatch(
-                attempt.task,
-                payload,
-                self.task_timeout,
-                attempt=attempt.number,
-                rung=attempt.rung,
-            )
-        else:
-            handle = start_worker(
-                attempt.task,
-                payload,
-                self.task_timeout,
-                attempt=attempt.number,
-                rung=attempt.rung,
-            )
+        handle = self._pool.dispatch(
+            attempt.task,
+            payload,
+            self.task_timeout,
+            attempt=attempt.number,
+            rung=attempt.rung,
+        )
         rec.attempts += 1
         rec.pids.append(handle.pid)
         rec.rung = self._breaker_key(attempt.rung)
@@ -759,7 +707,7 @@ class BatchRunner:
 
     def _absorb(
         self,
-        handle,
+        handle: PoolHandle,
         outcome: WorkerOutcome,
         records: Dict[str, TaskRecord],
         delayed: List[Tuple[float, _Attempt]],

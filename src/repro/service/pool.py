@@ -1,14 +1,15 @@
-"""Persistent warm worker pool: amortize interpreter/import cost.
+"""Persistent warm worker pool: the one transport of the batch service.
 
-The fork-per-task transport (:mod:`repro.service.worker`) pays a full
-``Process`` start, interpreter teardown, and join for every attempt —
-~100 ms of overhead against ~20 ms of actual compilation for a typical
-fuzz task.  This module keeps **N long-lived workers** instead: each
-imports the whole pipeline once at spawn (prewarm), then serves many
-tasks over a persistent duplex pipe, speaking **length-prefixed JSON
-frames** (``Connection.send_bytes`` — a 4-byte length header plus the
-UTF-8 JSON body), so the protocol is identical under ``fork`` and
-``spawn`` and a corrupted frame can only ever poison one attempt.
+Compile attempts run in subprocesses so that a crash, hang or poisoned
+result takes down one worker, never the caller.  Starting a process,
+importing the pipeline and tearing the interpreter down costs several
+times a typical fuzz compile, so this module keeps **N long-lived
+workers**: each imports the whole pipeline once at spawn (prewarm),
+then serves many tasks over a persistent duplex pipe, speaking
+**length-prefixed JSON frames** (``Connection.send_bytes`` — a 4-byte
+length header plus the UTF-8 JSON body), so the protocol is identical
+under ``fork`` and ``spawn`` and a corrupted frame can only ever
+poison one attempt.
 
 Parent-side frame protocol per attempt:
 
@@ -31,13 +32,14 @@ collect time:
   ``idle_timeout`` seconds is retired (frees memory between bursts);
 * **crash/poison retirement** — a worker that dies or ships a frame
   the parent cannot validate is killed and replaced; the in-flight
-  attempt is classified exactly like the fork transport would
-  (``crash``), so retry and circuit-breaker policy are unchanged.
+  attempt is classified as a ``crash``, which retry and
+  circuit-breaker policy then handle.
 
-Failure containment is therefore identical to fork-per-task — an
-armed ``service.worker`` fault (crash/hang/poison) takes down one
-worker and one attempt, never the batch — while the steady-state cost
-per task drops to one frame round-trip.
+An armed ``service.worker`` fault (crash/hang/poison) therefore takes
+down one worker and one attempt, never the batch, while the
+steady-state cost per task is one frame round-trip.  With
+``max_tasks_per_worker=1`` every attempt, retries included, runs in a
+fresh process.
 """
 
 from __future__ import annotations
@@ -130,10 +132,9 @@ def _shed_inherited_fds(close_fds) -> None:
 def pool_worker_main(conn, close_fds=()) -> None:
     """Child-process entry: serve task frames until told to exit.
 
-    Each ``task`` frame runs one compile attempt via the same
-    :func:`~repro.service.worker.execute_payload` core as the
-    fork-per-task worker (fault arming included, cleared between
-    tasks), and answers with exactly one result frame.  An ``exit``
+    Each ``task`` frame runs one compile attempt via
+    :func:`~repro.service.worker.execute_payload` (fault arming
+    included, cleared between tasks), and answers with exactly one result frame.  An ``exit``
     frame, a closed pipe, or an unparseable frame ends the loop — the
     parent owns all retry policy.  Worker lifetime therefore depends
     only on its own pipe: :func:`_shed_inherited_fds` drops every
@@ -193,12 +194,9 @@ class _PoolWorker:
 
 @dataclass
 class PoolHandle:
-    """One in-flight pooled attempt (parent side).
-
-    Mirrors :class:`repro.service.worker.WorkerHandle` closely enough
-    that the batch loop treats both transports uniformly: it exposes
-    the same ``task``/``attempt``/``rung``/``payload``/``deadline``
-    fields and a :attr:`waitable` the loop can multiplex on.
+    """One in-flight pooled attempt (parent side): the task, its
+    attempt number, rung, payload and deadline, plus a
+    :attr:`waitable` the batch loop can multiplex on.
     """
 
     worker: _PoolWorker
@@ -412,8 +410,7 @@ class WorkerPool:
         """Resolve a done/overdue attempt into a
         :class:`~repro.service.worker.WorkerOutcome`.
 
-        Ranking mirrors the fork transport: an available result frame
-        wins even at the deadline; then a dead worker is a crash; then
+        Ranking: an available result frame wins even at the deadline; then a dead worker is a crash; then
         an overdue worker is killed for a timeout.
         """
         worker = handle.worker

@@ -1,25 +1,27 @@
-"""Subprocess-isolated compile worker.
+"""The compile-attempt protocol shared by every worker process.
 
-One worker process runs exactly one compile attempt and streams one
-structured result object back over a pipe.  The isolation is the whole
-point: a crash (``os._exit``, a segfault stand-in), an OOM kill, an
-infinite loop, or an armed fault inside the compile can take down only
-its own process — the parent observes a dead or overdue child and
-applies retry/circuit/ledger policy, never a traceback.
+A worker process (:mod:`repro.service.pool`) runs compile attempts and
+streams one structured result object back per attempt.  The isolation
+is the whole point: a crash (``os._exit``, a segfault stand-in), an
+OOM kill, an infinite loop, or an armed fault inside the compile can
+take down only its own process — the parent observes a dead or
+overdue child and applies retry/circuit/ledger policy, never a
+traceback.
 
-Parent-side protocol per attempt:
+This module holds the per-attempt half of that contract; the pool
+owns the processes and pipes:
 
 1. :func:`build_payload` — reduce the task + driver config to a dict of
    primitives (safe under both ``fork`` and ``spawn`` start methods;
    armed fault specs ship inside it so injection is start-method
    agnostic).
-2. :func:`start_worker` — fork/spawn the child with the write end of a
-   pipe.
-3. Wait on ``process.sentinel`` up to the task deadline.
-4. :func:`reap_worker` — on exit: read and *validate* the result (a
-   poisoned or missing result is classified as a crash); past the
-   deadline: escalate SIGTERM → SIGKILL, then classify as a timeout.
-   Either way the child is fully joined — no zombies, no orphans.
+2. :func:`detach_worker_process` — one-time child setup (signal
+   dispositions, observability globals).
+3. :func:`execute_payload` — run one attempt in the worker and build
+   its result dict; :func:`wire_result` is what goes on the pipe.
+4. :func:`validate_result` — the parent's schema check (a poisoned or
+   missing result is classified as a crash), reported as a
+   :class:`WorkerOutcome`.
 
 Worker-level fault actions at the ``service.worker`` trip point
 (:mod:`repro.utils.faults`): ``crash`` exits with
@@ -36,9 +38,8 @@ import dataclasses
 import multiprocessing
 import os
 import signal
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.service.manifest import CompileTask
 from repro.utils import faults
@@ -63,9 +64,9 @@ DEFAULT_KILL_GRACE = 0.5
 
 #: Environment variable forcing a multiprocessing start method
 #: (``fork``, ``spawn``, or ``forkserver``) for every worker the
-#: service starts — both fork-per-task and pool workers.  The payload
-#: protocol is primitive-only precisely so that all of them behave
-#: identically; the forced-``spawn`` regression test pins that down.
+#: service starts.  The payload protocol is primitive-only precisely
+#: so that all of them behave identically; the forced-``spawn``
+#: regression test pins that down.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
 
@@ -120,8 +121,7 @@ def build_payload(
 
 
 def detach_worker_process() -> None:
-    """One-time child-process setup shared by fork-per-task workers
-    and pool workers.
+    """One-time setup of a worker process.
 
     Installs the worker's own signal dispositions (the parent's drain
     handler must not leak in under ``fork``): SIGTERM kills (the
@@ -220,18 +220,6 @@ def wire_result(result: Dict[str, object]) -> object:
     return result
 
 
-def worker_main(payload: Dict[str, object], conn) -> None:
-    """Child-process entry: compile one task, send one result, exit."""
-    detach_worker_process()
-    result = execute_payload(payload)
-    try:
-        conn.send(wire_result(result))
-    except (BrokenPipeError, OSError):  # parent already gone
-        pass
-    finally:
-        conn.close()
-
-
 @dataclass
 class WorkerOutcome:
     """What the parent learned from one worker attempt.
@@ -268,60 +256,6 @@ class WorkerOutcome:
         return ""
 
 
-@dataclass
-class WorkerHandle:
-    """One in-flight attempt (parent side)."""
-
-    process: object
-    conn: object
-    task: CompileTask
-    attempt: int
-    rung: str
-    payload: Dict[str, object]
-    started: float = field(default_factory=time.monotonic)
-    deadline: float = 0.0
-
-    @property
-    def sentinel(self) -> int:
-        return self.process.sentinel
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid
-
-
-def start_worker(
-    task: CompileTask,
-    payload: Dict[str, object],
-    timeout: float,
-    attempt: int = 1,
-    rung: str = "primary",
-) -> WorkerHandle:
-    """Fork/spawn one worker for *task* and return its handle.  The
-    deadline is ``now + timeout``; the caller owns waiting and
-    reaping."""
-    ctx = _mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=worker_main,
-        args=(payload, child_conn),
-        daemon=True,
-        name="repro-worker-{}".format(task.task_id),
-    )
-    process.start()
-    child_conn.close()
-    handle = WorkerHandle(
-        process=process,
-        conn=parent_conn,
-        task=task,
-        attempt=attempt,
-        rung=rung,
-        payload=payload,
-    )
-    handle.deadline = handle.started + timeout
-    return handle
-
-
 def validate_result(obj, task_id: str) -> Optional[Dict[str, object]]:
     """Schema-check a worker result; None means "treat as a crash".
 
@@ -351,79 +285,3 @@ def _kill(process, grace: float) -> None:
     if process.is_alive():
         process.kill()
         process.join()
-
-
-def reap_worker(
-    handle: WorkerHandle,
-    timed_out: bool,
-    kill_grace: float = DEFAULT_KILL_GRACE,
-) -> WorkerOutcome:
-    """Collect a finished or overdue worker into a :class:`WorkerOutcome`.
-
-    Always fully joins the child and closes the pipe, so every path —
-    clean exit, crash, poison, kill-on-timeout — leaves zero orphan
-    processes and zero open descriptors behind.
-    """
-    process, conn = handle.process, handle.conn
-    pid = process.pid
-    try:
-        if timed_out:
-            _kill(process, kill_grace)
-            return WorkerOutcome(
-                kind="timeout",
-                result=None,
-                pid=pid,
-                exitcode=process.exitcode,
-                duration_s=time.monotonic() - handle.started,
-            )
-        process.join()
-        received = None
-        if conn.poll():
-            try:
-                received = conn.recv()
-            except (EOFError, OSError, ValueError):
-                received = None
-        result = validate_result(received, handle.task.task_id)
-        if result is None:
-            return WorkerOutcome(
-                kind="crash",
-                result=None,
-                pid=pid,
-                exitcode=process.exitcode,
-                duration_s=time.monotonic() - handle.started,
-            )
-        return WorkerOutcome(
-            kind="result",
-            result=result,
-            pid=pid,
-            exitcode=process.exitcode,
-            duration_s=time.monotonic() - handle.started,
-        )
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def run_one(
-    task: CompileTask,
-    machine: str = "two-unit-superscalar",
-    registers: Optional[int] = None,
-    config=None,
-    timeout: float = 30.0,
-    kill_grace: float = DEFAULT_KILL_GRACE,
-) -> WorkerOutcome:
-    """Convenience: one isolated attempt, start to reap.  The batch
-    runner inlines this sequence to multiplex many workers; tests and
-    embedders get the one-shot form."""
-    from repro.pipeline.driver import DriverConfig
-
-    payload = build_payload(
-        task, machine, registers, config or DriverConfig()
-    )
-    handle = start_worker(task, payload, timeout)
-    handle.process.join(timeout)
-    return reap_worker(
-        handle, timed_out=handle.process.is_alive(), kill_grace=kill_grace
-    )

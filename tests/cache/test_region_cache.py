@@ -307,7 +307,6 @@ class TestRegionCacheHonesty:
         runner = BatchRunner(
             machine="two-unit-superscalar",
             driver_config=DriverConfig(engine="bitset", region_cache=True),
-            use_pool=False,
         )
         try:
             assert runner.config.region_cache is True

@@ -39,9 +39,23 @@ def _driver(machine, **config):
 
 
 class TestConfig:
-    def test_auto_resolves_to_compact(self, machine):
-        driver = _driver(machine, backend="auto")
-        assert driver.config.backend == "compact"
+    def test_default_is_compact(self, machine):
+        assert DriverConfig().backend == "compact"
+        assert _driver(machine).config.backend == "compact"
+
+    def test_auto_rejected(self, machine):
+        with pytest.raises(InputError, match="auto"):
+            _driver(machine, backend="auto")
+
+    def test_caller_config_is_not_modified(self, machine):
+        cfg = DriverConfig()
+        before = DriverConfig()
+        driver = CompilationDriver(
+            machine, config=cfg, strict=True, paranoid=True
+        )
+        assert cfg == before
+        assert driver.config is not cfg
+        assert driver.config.strict and driver.config.paranoid
 
     def test_unknown_backend_rejected(self, machine):
         with pytest.raises(InputError):

@@ -84,8 +84,10 @@ def test_soak_every_task_terminal_and_ledger_replayable(tmp_path):
         assert rec.status == "failed"
         assert rec.attempts == 2
 
-    # The ledger is complete (one terminal record per task) and every
-    # journaled worker pid is gone — no orphans survived the batch.
+    # The ledger is complete (one terminal record per task), every
+    # attempt journaled its worker's pid, and every journaled worker
+    # is gone — no orphans survived the batch.  Pool workers serve many
+    # attempts, so pids repeat across records.
     entries = RunLedger.load(ledger_path)
     assert set(entries) == {task.task_id for task in tasks}
     for rec in summary.records:
@@ -94,7 +96,7 @@ def test_soak_every_task_terminal_and_ledger_replayable(tmp_path):
         assert journaled["status"] in TERMINAL_STATUSES
         assert journaled["pids"] == rec.pids
     all_pids = [p for e in entries.values() for p in e["pids"]]
-    assert len(all_pids) == len(set(all_pids)) == 46 + 4 * 2
+    assert len(all_pids) == 46 + 4 * 2
     assert not any(_is_live_child(pid) for pid in all_pids)
 
     # Resume replays the ledger for every clean task — zero recompiles

@@ -1,10 +1,9 @@
 """Tests for the persistent warm worker pool (repro.service.pool).
 
-The pool changes the transport, never the policy: these tests drive
-the same containment scenarios as the fork-per-task worker suite —
-clean results, crash, hang, poison — through long-lived workers, plus
-the hygiene policies the fork transport never needed (worker reuse,
-max-tasks recycling, idle recycling, shutdown reaping).
+The pool is the batch service's only transport: these tests drive the
+containment scenarios — clean results, crash, hang, poison — through
+long-lived workers, plus the hygiene policies (worker reuse, max-tasks
+recycling, idle recycling, shutdown reaping).
 """
 
 import os
@@ -261,10 +260,10 @@ class TestPoolValidation:
 
 
 class TestBatchOnPool:
-    """BatchRunner(use_pool=True): same policy, warmer transport."""
+    """BatchRunner on its one transport, the pool."""
 
     def test_clean_fuzz_batch(self):
-        summary = BatchRunner(max_workers=2, use_pool=True).run(
+        summary = BatchRunner(max_workers=2).run(
             fuzz_tasks(6, seed=3)
         )
         counts = summary.counts
@@ -282,7 +281,7 @@ class TestBatchOnPool:
             task(task_id="crash", faults=worker_fault("crash")),
             task(task_id="fine"),
         ]
-        summary = BatchRunner(max_workers=2, use_pool=True).run(tasks)
+        summary = BatchRunner(max_workers=2).run(tasks)
         by_id = {rec.task_id: rec for rec in summary.records}
         assert by_id["fine"].status == "ok"
         crashed = by_id["crash"]
@@ -298,7 +297,7 @@ class TestBatchOnPool:
         from repro.service.batch import RetryPolicy
 
         summary = BatchRunner(
-            max_workers=1, use_pool=True, task_timeout=0.3,
+            max_workers=1, task_timeout=0.3,
             retry_policy=RetryPolicy(max_retries=1, base_delay=0.01),
         ).run(tasks)
         rec = summary.records[0]
@@ -308,12 +307,46 @@ class TestBatchOnPool:
 
     def test_pool_workers_recycle_mid_batch(self):
         summary = BatchRunner(
-            max_workers=1, use_pool=True, max_tasks_per_worker=2,
+            max_workers=1, max_tasks_per_worker=2,
         ).run(fuzz_tasks(5, seed=9))
         assert summary.counts["ok"] + summary.counts["degraded"] == 5
         pids = {p for rec in summary.records for p in rec.pids}
         assert len(pids) == 3  # ceil(5 / 2) workers served the batch
         assert not any(pid_is_live(p) for p in pids)
+
+    def test_one_task_per_worker_gives_every_attempt_a_fresh_process(self):
+        from repro.service.batch import RetryPolicy
+
+        tasks = fuzz_tasks(3, seed=9) + [
+            task(task_id="crash", faults=worker_fault("crash")),
+        ]
+        summary = BatchRunner(
+            max_workers=2, max_tasks_per_worker=1,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.01),
+        ).run(tasks)
+        by_id = {rec.task_id: rec for rec in summary.records}
+        assert by_id["crash"].kinds == ["crash", "crash"]
+        pids = [p for rec in summary.records for p in rec.pids]
+        assert len(pids) == 3 + 2  # the crash was retried once
+        assert len(set(pids)) == len(pids)
+        assert not any(pid_is_live(p) for p in pids)
+
+    def test_default_runner_dispatches_through_the_pool(self, monkeypatch):
+        dispatched = []
+        real_dispatch = WorkerPool.dispatch
+
+        def spy(pool, t, *args, **kwargs):
+            dispatched.append(t.task_id)
+            return real_dispatch(pool, t, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "dispatch", spy)
+        summary = BatchRunner(max_workers=1).run([task()])
+        assert summary.exit_code == 0
+        assert dispatched == ["t0"]
+
+    def test_use_pool_false_is_rejected(self):
+        with pytest.raises(InputError, match="fork-per-task"):
+            BatchRunner(use_pool=False)
 
 
 class TestInheritedFdHygiene:

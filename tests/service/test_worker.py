@@ -1,8 +1,9 @@
-"""Tests for the subprocess-isolated compile worker
-(repro.service.worker).
+"""Tests for the compile-attempt protocol (repro.service.worker).
 
-Every containment path — clean result, crash, hang-and-kill, poisoned
-result, in-worker exception — is driven deterministically through the
+Result-producing paths — clean result, input error, in-worker
+exception — run in process through :func:`execute_payload`.  Paths
+that end the worker process (crash, hang-and-kill) run on a one-worker
+:class:`WorkerPool`; every one is driven deterministically through the
 ``service.worker`` fault point.
 """
 
@@ -12,10 +13,12 @@ import time
 import pytest
 
 from repro.service.manifest import CompileTask
+from repro.service.pool import WorkerPool
 from repro.service.worker import (
     RESULT_VERSION,
+    WorkerOutcome,
     build_payload,
-    run_one,
+    execute_payload,
     validate_result,
 )
 from repro.pipeline.driver import DriverConfig
@@ -43,46 +46,69 @@ def worker_fault(action, seconds=None):
     return (spec,)
 
 
+def payload_for(t, machine="two-unit-superscalar"):
+    return build_payload(t, machine, None, DriverConfig())
+
+
+def in_process(t, machine="two-unit-superscalar"):
+    """One attempt run in this process, as a worker would run it."""
+    result = execute_payload(payload_for(t, machine))
+    assert validate_result(result, t.task_id) is result
+    return WorkerOutcome(
+        kind="result", result=result, pid=result["pid"], exitcode=None,
+        duration_s=0.0,
+    )
+
+
+def pooled(t, timeout):
+    """One attempt on a fresh one-worker pool, settled the batch
+    loop's way."""
+    with WorkerPool(size=1) as pool:
+        handle = pool.dispatch(t, payload_for(t), timeout=timeout)
+        deadline = time.monotonic() + timeout + 30.0
+        while not handle.is_done(time.monotonic()):
+            if time.monotonic() > deadline:
+                raise AssertionError("pool attempt never became collectable")
+            time.sleep(0.005)
+        return pool.collect(handle)
+
+
 class TestCleanAttempt:
     def test_ok_result(self):
-        outcome = run_one(task(), timeout=30.0)
-        assert outcome.kind == "result"
+        outcome = in_process(task())
         result = outcome.result
         assert result["status"] == "ok"
         assert result["exit_code"] == 0
         assert result["task_id"] == "t0"
-        assert result["pid"] == outcome.pid
+        assert result["pid"] == os.getpid()
         assert result["metrics"]["cycles"] > 0
-        assert outcome.exitcode == 0
-        assert outcome.duration_s > 0
 
     def test_input_error_is_deterministic_failure(self):
-        outcome = run_one(task(text="this is ( not a program"), timeout=30.0)
-        assert outcome.kind == "result"
+        outcome = in_process(task(text="this is ( not a program"))
         assert outcome.result["status"] == "failed"
         assert outcome.result["exit_code"] == 2
         assert outcome.result["failure_kind"] == "input"
 
     def test_unknown_machine_is_worker_side_input_error(self):
-        outcome = run_one(task(), machine="no-such-machine", timeout=30.0)
+        outcome = in_process(task(), machine="no-such-machine")
         # BatchRunner validates the machine up front; the worker still
         # refuses rather than KeyError-ing if handed one directly.
-        assert outcome.kind == "result"
         assert outcome.result["status"] == "worker-exception"
         assert "no-such-machine" in outcome.message
 
 
 class TestContainment:
+    """Crash and hang end the worker process, so they run on a pool;
+    the poisoned-result path is covered in test_pool.py."""
+
     def test_crash_fault_is_contained(self):
-        outcome = run_one(
-            task(faults=worker_fault("crash")), timeout=30.0
-        )
+        outcome = pooled(task(faults=worker_fault("crash")), timeout=30.0)
         assert outcome.kind == "crash"
         assert outcome.exitcode == CRASH_EXIT_CODE
         assert "crash" in outcome.message
 
     def test_hang_fault_is_killed_at_deadline(self):
-        outcome = run_one(
+        outcome = pooled(
             task(faults=worker_fault("hang", seconds=60.0)), timeout=0.5
         )
         assert outcome.kind == "timeout"
@@ -92,23 +118,14 @@ class TestContainment:
         assert outcome.exitcode is not None and outcome.exitcode < 0
         assert not _is_live_child(outcome.pid)
 
-    def test_poisoned_result_is_classified_as_crash(self):
-        outcome = run_one(
-            task(faults=worker_fault("poison-result")), timeout=30.0
-        )
-        assert outcome.kind == "crash"
-
     def test_raise_fault_becomes_worker_exception(self):
-        outcome = run_one(
-            task(faults=worker_fault("raise")), timeout=30.0
-        )
-        assert outcome.kind == "result"
+        outcome = in_process(task(faults=worker_fault("raise")))
         assert outcome.result["status"] == "worker-exception"
         assert "FaultInjectedError" in outcome.message
 
     def test_no_orphan_after_any_outcome(self):
         for action, timeout in (("crash", 30.0), ("hang", 0.5)):
-            outcome = run_one(
+            outcome = pooled(
                 task(faults=worker_fault(action, seconds=60.0)),
                 timeout=timeout,
             )
@@ -149,15 +166,6 @@ class TestStartMethodOverride:
     the regression net for platforms where fork is unavailable or
     unsafe (macOS, Windows, threaded embedders)."""
 
-    def test_spawn_round_trip(self, monkeypatch):
-        from repro.service.worker import START_METHOD_ENV
-
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        outcome = run_one(task(), timeout=60.0)
-        assert outcome.kind == "result"
-        assert outcome.result["status"] == "ok"
-        assert outcome.result["exit_code"] == 0
-
     def test_unknown_method_is_input_error(self, monkeypatch):
         from repro.service.worker import START_METHOD_ENV, _mp_context
         from repro.utils.errors import InputError
@@ -167,7 +175,6 @@ class TestStartMethodOverride:
             _mp_context()
 
     def test_pool_round_trip_under_spawn(self, monkeypatch):
-        from repro.service.pool import WorkerPool
         from repro.service.worker import START_METHOD_ENV
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")

@@ -211,6 +211,26 @@ class TestEngineChoices:
         assert "strategy=pinter" in capsys.readouterr().out
 
 
+class TestBackendChoices:
+    """The backend choices are exactly ``compact`` and ``reference``
+    on every command that takes one; ``auto`` is gone."""
+
+    @pytest.mark.parametrize("command", ["compile", "batch", "serve"])
+    def test_auto_is_rejected(self, src_file, command, capsys):
+        argv = [command, "--backend", "auto"]
+        if command == "compile":
+            argv.insert(1, src_file)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["compact", "reference"])
+    def test_compile_accepts_both_backends(self, src_file, backend, capsys):
+        assert main(["compile", src_file, "--backend", backend]) == 0
+        assert "strategy=pinter" in capsys.readouterr().out
+
+
 class TestGraphCommand:
     @pytest.mark.parametrize("kind", ["cfg", "gs", "fdg", "ig", "pig"])
     def test_all_kinds(self, src_file, kind, capsys):
@@ -345,6 +365,12 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert "not valid JSON" in err
         assert "Traceback" not in err
+
+    def test_removed_no_pool_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--fuzz", "1", "--no-pool"])
+        assert exc.value.code == 2
+        assert "--no-pool" in capsys.readouterr().err
 
     def test_unknown_machine_exit_2(self, capsys):
         assert main(["batch", "--fuzz", "1", "--machine", "cray"]) == 2

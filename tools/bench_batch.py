@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Benchmark batch transports: fork-per-task vs warm pool vs cache.
+"""Benchmark the batch service: warm pool vs compile cache.
 
 Runs the same deterministic fuzz batch through three configurations of
 :class:`repro.service.BatchRunner` and reports tasks/second:
 
-* ``fork_cold`` — the PR-4 transport: one forked worker process per
-  attempt (interpreter + import cost paid 200 times);
 * ``pool_cold`` — the persistent warm pool: N workers import the
   pipeline once and serve every task over pipes (the cache is being
   *populated* but never hits);
@@ -16,10 +14,11 @@ Runs the same deterministic fuzz batch through three configurations of
   so every hit walks the digest-prefix-sharded disk layout (PR 8).
 
 Rows are bench_compare-compatible ``{workload, phase, wall_s, ...}``
-objects; the committed baselines are ``BENCH_pr5.json`` (first three
-phases) and ``BENCH_pr8.json`` (adds ``disk_warm``).  ``--check``
-enforces the floors in-process (pool >= 2x fork-per-task, warm cache
->= 10x cold pool, sharded disk hits >= 5x cold pool); CI applies the
+objects; the committed baselines are ``BENCH_pr5.json`` and
+``BENCH_pr8.json`` (which adds ``disk_warm``; both also keep a row
+for the since-removed fork-per-task transport).  ``--check``
+enforces the floors in-process (warm cache >= 10x cold pool, sharded
+disk hits >= 5x cold pool); CI applies the
 same floors to the emitted rows via ``bench_compare.py --ratio-max``,
 which keeps the guard machine-independent.
 
@@ -37,8 +36,7 @@ import time
 from repro.cache import CompileCache
 from repro.service import BatchRunner, fuzz_tasks
 
-#: PR-5 acceptance floors (speedup factors).
-POOL_OVER_FORK_MIN = 2.0
+#: PR-5 acceptance floor (speedup factor).
 WARM_OVER_COLD_MIN = 10.0
 #: PR-8 floor: pure sharded-disk hits (no memory tier, no worker
 #: dispatch) must still beat the cold pool by this factor.
@@ -75,8 +73,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="fail unless pool >= {:.0f}x fork and warm cache >= "
-        "{:.0f}x cold pool".format(POOL_OVER_FORK_MIN, WARM_OVER_COLD_MIN),
+        help="fail unless warm cache >= {:.0f}x and disk hits >= {:.0f}x "
+        "cold pool".format(WARM_OVER_COLD_MIN, DISK_OVER_COLD_MIN),
     )
     parser.add_argument(
         "-o", "--output", default=None, metavar="FILE",
@@ -95,16 +93,17 @@ def main(argv=None) -> int:
     )
 
     configs = [
-        ("fork_cold", {"use_pool": False, "cache": None}),
-        ("pool_cold", {"use_pool": True, "cache": cache}),
-        ("pool_warm_cache", {"use_pool": True, "cache": cache}),
-        ("disk_warm", {"use_pool": True, "cache": disk_cache}),
+        ("pool_cold", cache),
+        ("pool_warm_cache", cache),
+        ("disk_warm", disk_cache),
     ]
     rows = []
     walls = {}
     try:
-        for phase, kwargs in configs:
-            wall, counts = run_config(tasks, args.workers, phase, **kwargs)
+        for phase, phase_cache in configs:
+            wall, counts = run_config(
+                tasks, args.workers, phase, cache=phase_cache
+            )
             walls[phase] = wall
             rows.append({
                 "workload": workload,
@@ -121,9 +120,6 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
-    if walls["pool_cold"]:
-        print("pool speedup over fork: {:.2f}x".format(
-            walls["fork_cold"] / walls["pool_cold"]))
     if walls["pool_warm_cache"]:
         print("warm-cache speedup over cold pool: {:.2f}x".format(
             walls["pool_cold"] / walls["pool_warm_cache"]))
@@ -139,14 +135,6 @@ def main(argv=None) -> int:
 
     if args.check:
         problems = []
-        if walls["pool_cold"] * POOL_OVER_FORK_MIN > walls["fork_cold"]:
-            problems.append(
-                "pool_cold {:.3f}s is not {:.0f}x faster than "
-                "fork_cold {:.3f}s".format(
-                    walls["pool_cold"], POOL_OVER_FORK_MIN,
-                    walls["fork_cold"],
-                )
-            )
         if walls["pool_warm_cache"] * WARM_OVER_COLD_MIN \
                 > walls["pool_cold"]:
             problems.append(
