@@ -47,20 +47,22 @@ bench-incr-check:
 		--ratio-max incr-diamond-5x48:incr/cold=0.72
 
 # Time the compact back-end kernels (bitrow interference, worklist
-# coloring, array scheduling) against their reference twins.  The
-# committed baseline is BENCH_pr10.json.
+# Chaitin coloring, array scheduling, combined Pinter coloring) against
+# their reference twins.  The committed baseline is BENCH_pr15.json.
 bench-backend:
 	PYTHONPATH=src python tools/bench_backend.py -o BENCH_backend_current.json
 
-# The PR-10 machine-independent floor on a fresh run: compact must
-# stay >= 3x faster than reference on the interference and coloring
-# phases of the n=2048 block (same run, interleaved timing).
+# Machine-independent floors on a fresh run (same run, interleaved
+# timing): compact must stay >= 3x faster than reference on the
+# interference and Chaitin coloring phases of the n=2048 block, and
+# >= 5x on combined Pinter coloring of the n=128 block.
 bench-backend-check:
 	PYTHONPATH=src python tools/bench_backend.py --check \
 		-o BENCH_backend_current.json
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_backend_current.json \
 		--ratio-max backend-n2048:interference_compact/interference_reference=0.3334 \
-		--ratio-max backend-n2048:color_compact/color_reference=0.3334
+		--ratio-max backend-n2048:color_compact/color_reference=0.3334 \
+		--ratio-max backend-pinter-n128:pinter_compact/pinter_reference=0.2
 
 # Load-generate the HTTP compilation service (latency, coalescing,
 # typed sheds, zero-loss SIGTERM drain) and enforce the robustness
@@ -146,6 +148,7 @@ ci:
 	PYTHONPATH=src python -m repro compile examples/smoke.src --backend reference
 	PYTHONPATH=src python -m repro compile examples/smoke.src --backend compact --inject-fault sched.compact
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault core.pinter_color --inject-fault regalloc.compact
+	PYTHONPATH=src python -m repro compile examples/smoke.src --backend reference --inject-fault core.pinter_color
 	PYTHONPATH=src python -m repro compile examples/smoke.src --json-diagnostics > /dev/null
 	PYTHONPATH=src python -m repro compile examples/smoke.src --strategy bogus; test $$? -eq 2
 	PYTHONPATH=src python -m repro compile examples/smoke.src --max-instrs 1; test $$? -eq 1

@@ -814,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--paranoid", action="store_true",
-        help="cross-check the bitset dependence engine against the "
-        "reference engine on every PIG build",
+        help="cross-check the bitset dependence engine and the compact "
+        "back-end kernels against their reference twins",
     )
     p_compile.add_argument(
         "--max-instrs", type=int, default=None, metavar="N",

@@ -7,6 +7,7 @@ from repro.core.coloring import (
     banked_pinter_color,
     optimal_pig_coloring,
     pinter_color,
+    reference_pinter_color,
 )
 from repro.core.edge_weights import (
     DEFAULT_CONFIG,
@@ -50,4 +51,5 @@ __all__ = [
     "h_star_metric",
     "optimal_pig_coloring",
     "pinter_color",
+    "reference_pinter_color",
 ]

@@ -142,7 +142,7 @@ def _merge_class_results(pig, class_results) -> PinterColoringResult:
         spilled=merged_spilled,
         selection_order=merged_order,
         removed_false_edges=merged_removed,
-        reduced_graph=pig.graph,
+        graph=pig.graph,
     )
 
 
@@ -271,7 +271,7 @@ class PinterAllocator:
                 spilled=[],
                 selection_order=result.selection_order,
                 removed_false_edges=result.removed_false_edges,
-                reduced_graph=result.reduced_graph,
+                graph=result.graph,
             )
         else:
             assignment = make_assignment(pig.interference, result.coloring)

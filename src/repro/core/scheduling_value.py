@@ -18,13 +18,13 @@ the procedure removes the edge of minimum value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.webs import Web
 from repro.core.parallel_interference import ParallelInterferenceGraph
 from repro.deps.false_dependence import FalseDependenceGraph
-from repro.deps.transitive import earliest_start_times, ordered_pair
+from repro.deps.transitive import earliest_start_times
 from repro.ir.instructions import Instruction
 
 
@@ -51,6 +51,12 @@ def region_value_rows(sg) -> Tuple[List[int], List[float]]:
     )
 
 
+def _co_issue_value(ep_u: int, h_u: float, ep_v: int, h_v: float) -> float:
+    """``(1 + max(height)) / (1 + |EP(u) - EP(v)|)`` — see the module
+    docstring."""
+    return (1.0 + max(h_u, h_v)) / (1.0 + abs(ep_u - ep_v))
+
+
 @dataclass
 class SchedulingValueModel:
     """Precomputed EP numbers and critical heights for every region."""
@@ -59,6 +65,18 @@ class SchedulingValueModel:
     _ep: Dict[int, int]
     _height: Dict[int, float]
     _fdg_of: Dict[int, FalseDependenceGraph]
+    #: Memoized edge values, keyed by the sorted web-index pair.
+    _edge_cache: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Memoized :meth:`_definition_rows`, keyed by web index.
+    _def_rows: Dict[int, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: uid → E_f row bit of each kernel-backed region, keyed by id(fdg).
+    _uid_positions: Dict[int, Dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, pig: ParallelInterferenceGraph) -> "SchedulingValueModel":
@@ -82,31 +100,56 @@ class SchedulingValueModel:
 
     def pair_value(self, u: Instruction, v: Instruction) -> float:
         """Value of co-scheduling instructions *u* and *v*."""
-        ep_u, ep_v = self._ep.get(u.uid, 0), self._ep.get(v.uid, 0)
-        h_u, h_v = self._height.get(u.uid, 1.0), self._height.get(v.uid, 1.0)
-        return (1.0 + max(h_u, h_v)) / (1.0 + abs(ep_u - ep_v))
+        return _co_issue_value(
+            self._ep.get(u.uid, 0), self._height.get(u.uid, 1.0),
+            self._ep.get(v.uid, 0), self._height.get(v.uid, 1.0),
+        )
 
-    def _contributing_pairs(
-        self, web_a: Web, web_b: Web
-    ) -> List[Tuple[Instruction, Instruction]]:
-        """Instruction pairs whose E_f membership created this web edge."""
-        pairs = []
-        defs_a = sorted(web_a.definitions, key=lambda d: d.instruction.uid)
-        defs_b = sorted(web_b.definitions, key=lambda d: d.instruction.uid)
-        for point_a in defs_a:
-            fdg = self._fdg_of.get(point_a.instruction.uid)
-            if fdg is None:
-                continue
-            for point_b in defs_b:
-                if fdg.has_false_edge(point_a.instruction, point_b.instruction):
-                    pairs.append(
-                        ordered_pair(point_a.instruction, point_b.instruction)
-                    )
-        return pairs
+    def _definition_rows(self, web: Web) -> list:
+        """One row per definition of *web*, in uid order:
+        ``(uid, instruction, fdg, ef_row, uid_position, ep, height)``.
+
+        ``fdg`` is the definition's region (None outside every region);
+        with a bitset kernel, ``ef_row`` is its E_f row and
+        ``uid_position`` maps the region's uids to row bits, so testing
+        a pair is one dict lookup and a shift instead of two
+        instruction-keyed lookups.  Both are None on the reference
+        engine, which answers :meth:`FalseDependenceGraph.has_false_edge`
+        from pair sets.
+        """
+        rows = self._def_rows.get(web.index)
+        if rows is not None:
+            return rows
+        rows = []
+        for point in sorted(web.definitions, key=lambda d: d.instruction.uid):
+            instr = point.instruction
+            uid = instr.uid
+            fdg = self._fdg_of.get(uid)
+            ef_row: Optional[int] = None
+            uid_position: Optional[Dict[int, int]] = None
+            if fdg is not None and fdg.kernel is not None:
+                ef_row = fdg.kernel.ef_row(instr)
+                uid_position = self._uid_positions.get(id(fdg))
+                if uid_position is None:
+                    uid_position = {
+                        member.uid: i
+                        for i, member in enumerate(
+                            fdg.kernel.index.instructions
+                        )
+                    }
+                    self._uid_positions[id(fdg)] = uid_position
+            rows.append((
+                uid, instr, fdg, ef_row, uid_position,
+                self._ep.get(uid, 0), self._height.get(uid, 1.0),
+            ))
+        self._def_rows[web.index] = rows
+        return rows
 
     def edge_value(self, web_a: Web, web_b: Web) -> float:
         """Scheduling value of the false edge {web_a, web_b}: the best
-        co-issue opportunity among its contributing instruction pairs.
+        co-issue opportunity (:meth:`pair_value`) among its
+        contributing instruction pairs — a definition of *web_a* and
+        one of *web_b* that are E_f neighbors in *web_a*'s region.
         Edges with no surviving pair (possible after spilling rounds)
         are worthless.
 
@@ -114,21 +157,31 @@ class SchedulingValueModel:
         they are memoized — the coloring procedure queries the same
         edges many times.
         """
-        cache = getattr(self, "_edge_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_edge_cache", cache)
         key = (
             (web_a.index, web_b.index)
             if web_a.index <= web_b.index
             else (web_b.index, web_a.index)
         )
-        cached = cache.get(key)
+        cached = self._edge_cache.get(key)
         if cached is not None:
             return cached
-        pairs = self._contributing_pairs(web_a, web_b)
-        value = (
-            max(self.pair_value(u, v) for u, v in pairs) if pairs else 0.0
-        )
-        cache[key] = value
+        best = None
+        rows_b = self._definition_rows(web_b)
+        for _uid, instr_a, fdg, ef_row, uid_position, ep_a, h_a in (
+            self._definition_rows(web_a)
+        ):
+            if fdg is None:
+                continue
+            for uid_b, instr_b, _fdg, _row, _pos, ep_b, h_b in rows_b:
+                if uid_position is not None:
+                    bit = uid_position.get(uid_b)
+                    if bit is None or not (ef_row >> bit) & 1:
+                        continue
+                elif not fdg.has_false_edge(instr_a, instr_b):
+                    continue
+                value = _co_issue_value(ep_a, h_a, ep_b, h_b)
+                if best is None or value > best:
+                    best = value
+        value = 0.0 if best is None else best
+        self._edge_cache[key] = value
         return value

@@ -22,7 +22,9 @@ phase           primary                       fallback
 
 In ``--paranoid`` mode the ``pig`` phase additionally *cross-checks*
 the bitset engine against the reference engine and degrades to the
-reference rung on divergence.  In ``--strict`` mode the ladder is
+reference rung on divergence; the ``color`` phase checks every round
+of the compact Pinter kernel against its networkx oracle and degrades
+to Chaitin on divergence.  In ``--strict`` mode the ladder is
 disabled: the first phase error fails the compile.
 
 Outcomes map to documented exit codes:
@@ -43,7 +45,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
-from repro.core.coloring import pinter_color
+from repro.core.coloring import (
+    PinterColoringResult,
+    pinter_color,
+    reference_pinter_color,
+)
 from repro.core.parallel_interference import (
     ParallelInterferenceGraph,
     build_parallel_interference_graph,
@@ -246,13 +252,16 @@ class DriverConfig:
         strict: Disable every fallback rung — the first phase error
             fails the compile.
         paranoid: Cross-check the bitset dependence engine against the
-            reference engine on every PIG build.
+            reference engine on every PIG build, and each compact
+            kernel against its reference twin (Pinter coloring per
+            round, Chaitin fallback, block schedules).
         max_instrs: Reject functions with more instructions (budget;
             exit 1).
         time_budget: Wall-clock seconds for the whole compile; checked
             at phase boundaries and polled inside the bitset kernel's
-            closure loops, so a long dependence build is preempted
-            mid-phase.
+            closure loops and the combined coloring's simplify,
+            sacrifice and spill loops, so a long dependence build or
+            coloring round is preempted mid-phase.
         optimize: Run the optimization pipeline before allocation.
         use_regions: Build false-dependence graphs over scheduling
             regions (the global form).
@@ -879,6 +888,7 @@ class CompilationDriver:
         original = work
         spill_ops = 0
         engine = self.config.engine
+        mid_phase = guard.mid_phase_checker()
         try:
             for _round in range(self.config.max_spill_rounds + 1):
                 pig, engine = self._build_pig(work, guard, report, engine)
@@ -886,9 +896,7 @@ class CompilationDriver:
                 current = work
                 result = guard.run(
                     "color",
-                    lambda: pinter_color(
-                        pig, self.num_registers, cost=cost
-                    ),
+                    lambda: self._color_round(pig, cost, mid_phase),
                     recoverable=True,
                 )
                 if not result.spilled:
@@ -920,6 +928,38 @@ class CompilationDriver:
             report.note_recovery("chaitin spill fallback")
             return self._chaitin_fallback(original, guard, report, engine)
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _color_round(
+        self,
+        pig: ParallelInterferenceGraph,
+        cost: Callable,
+        check_deadline: Optional[Callable[[], None]],
+    ) -> PinterColoringResult:
+        """One combined-coloring round on the configured back-end: the
+        compact kernel, or the networkx oracle under ``backend=
+        "reference"``.  In paranoid mode the compact result is checked
+        against the oracle field by field; a mismatch raises
+        :class:`DivergenceError`, which the caller degrades like any
+        other color-phase failure."""
+        if self.config.backend == "reference":
+            return reference_pinter_color(
+                pig, self.num_registers, cost=cost,
+                check_deadline=check_deadline,
+            )
+        result = pinter_color(
+            pig, self.num_registers, cost=cost, check_deadline=check_deadline
+        )
+        if self.config.paranoid:
+            oracle = reference_pinter_color(
+                pig, self.num_registers, cost=cost,
+                check_deadline=check_deadline,
+            )
+            if result.signature() != oracle.signature():
+                raise DivergenceError(
+                    "compact and reference Pinter coloring disagree on "
+                    "{!r} (paranoid cross-check)".format(pig.function.name)
+                )
+        return result
 
     def _chaitin_fallback(
         self,

@@ -22,7 +22,10 @@ point                     location
 ``ir.parse``              :func:`repro.ir.parser.parse_function`
 ``ir.verify``             :func:`repro.ir.verifier.verify_function`
 ``deps.bitset``           :meth:`repro.deps.bitset.DependenceBitKernel.build`
-``core.pinter_color``     :func:`repro.core.coloring.pinter_color`
+``core.pinter_color``     :func:`repro.core.coloring.pinter_color` and its
+                          oracle :func:`repro.core.coloring.reference_pinter_color`
+                          (so the point forces the Chaitin rung under
+                          either ``--backend``)
 ``regalloc.chaitin``      :func:`repro.regalloc.chaitin.chaitin_color`
 ``regalloc.compact``      :func:`repro.regalloc.compact.compact_chaitin_allocate`
 ``sched.augmented``       :func:`repro.sched.augmented.augmented_schedule`

@@ -22,6 +22,7 @@ from repro.workloads import (
     example1_machine_model,
     example2,
     example2_machine_model,
+    figure6_diamond,
     independent_chains,
 )
 from repro.machine.presets import two_unit_superscalar
@@ -105,6 +106,46 @@ class TestSchedulingValueModel:
         webs = {str(w.register): w for w in pig.webs}
         # s1-s3 is interference-only: no contributing false pair.
         assert model.edge_value(webs["s1"], webs["s3"]) == 0.0
+
+    @pytest.mark.parametrize("engine", ["bitset", "reference"])
+    def test_edge_value_is_the_best_contributing_pair(self, engine):
+        # The definition-row fast path against the definition: the max
+        # pair_value over every (def of a, def of b) E_f pair in a's
+        # region, on multi-definition webs across regions (the diamond
+        # joins) and on a spilled block, for both dependence engines.
+        from repro.frontend import compile_source
+        from repro.workloads import RandomBlockConfig, random_block
+        from repro.workloads import SourceFuzzConfig, random_source
+
+        functions = [
+            figure6_diamond(),
+            random_block(RandomBlockConfig(size=48, seed=3)),
+        ] + [
+            compile_source(random_source(SourceFuzzConfig(seed=seed)))
+            for seed in range(4)
+        ]
+        for fn in functions:
+            pig = build_parallel_interference_graph(
+                fn, two_unit_superscalar(), engine=engine
+            )
+            model = SchedulingValueModel.build(pig)
+            fdg_of = {
+                instr.uid: fdg
+                for fdg in pig.false_graphs
+                for instr in fdg.instructions
+            }
+            for web_a, web_b in pig.all_edges():
+                for a, b in ((web_a, web_b), (web_b, web_a)):
+                    values = [
+                        model.pair_value(da.instruction, db.instruction)
+                        for da in a.definitions
+                        if da.instruction.uid in fdg_of
+                        for db in b.definitions
+                        if fdg_of[da.instruction.uid].has_false_edge(
+                            da.instruction, db.instruction
+                        )
+                    ]
+                    assert model.edge_value(a, b) == max(values, default=0.0)
 
 
 class TestPinterColoring:

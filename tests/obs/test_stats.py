@@ -133,6 +133,18 @@ class TestInstrumentedPipeline:
             assert phase in stats["phases"], phase
             assert stats["phases"][phase]["count"] >= 1
 
+    def test_stats_show_coloring_simplify_passes(self, tmp_path):
+        # The combined coloring reports its own work: every round
+        # scans at least once, and `repro stats` prints the total.
+        path = str(tmp_path / "t.jsonl")
+        driver = CompilationDriver(two_unit_superscalar())
+        with tracing(path):
+            assert driver.compile_text(SOURCE, name="passes").ok
+        events, _errors = load_trace(path)
+        stats = aggregate(events)
+        assert stats["counters"]["color.simplify_passes"] >= 1
+        assert "color.simplify_passes" in format_stats(stats)
+
     def test_untraced_compile_writes_nothing(self, tmp_path):
         driver = CompilationDriver(two_unit_superscalar())
         outcome = driver.compile_text(SOURCE, name="untraced")

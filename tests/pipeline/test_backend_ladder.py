@@ -10,10 +10,11 @@ reference compile bit for bit.
 import pytest
 
 from repro.machine.presets import two_unit_superscalar
+from repro.pipeline import driver as driver_module
 from repro.pipeline.driver import CompilationDriver, DriverConfig
 from repro.utils import faults
 from repro.utils.errors import InputError
-from repro.workloads import example1, example2
+from repro.workloads import RandomBlockConfig, example1, example2, random_block
 
 
 @pytest.fixture(autouse=True)
@@ -130,3 +131,51 @@ class TestParanoid:
         ).compile_function(example1())
         assert outcome.ok
         assert not outcome.report.degraded
+
+    def test_pressure_blocks_agree_with_reference_backend(self, machine):
+        # The benchmark's pressure blocks at r=8: every coloring round
+        # of the paranoid compact compile matches the oracle, and the
+        # reference back-end compiles to the same code quality.
+        for size in (64, 80, 96, 112, 128):
+            quality = []
+            for config in (
+                DriverConfig(paranoid=True),
+                DriverConfig(backend="reference"),
+            ):
+                outcome = CompilationDriver(
+                    machine, num_registers=8, config=config
+                ).compile_function(
+                    random_block(RandomBlockConfig(size=size, seed=size))
+                )
+                assert outcome.ok, size
+                assert not outcome.report.degraded, size
+                result = outcome.result
+                quality.append((
+                    result.cycles,
+                    result.registers_used,
+                    result.spill_operations,
+                ))
+            assert quality[0] == quality[1], size
+
+    def test_coloring_divergence_degrades_to_chaitin(
+        self, machine, monkeypatch
+    ):
+        compact = driver_module.pinter_color
+
+        def diverging(*args, **kwargs):
+            result = compact(*args, **kwargs)
+            result.selection_order.reverse()
+            return result
+
+        monkeypatch.setattr(driver_module, "pinter_color", diverging)
+        outcome = _driver(machine, paranoid=True).compile_function(example2())
+        assert outcome.ok
+        assert "chaitin spill fallback" in recoveries(outcome.report)
+        assert any(
+            "Pinter coloring disagree" in d.message
+            for d in outcome.report.diagnostics
+        )
+        strict = _driver(
+            machine, paranoid=True, strict=True
+        ).compile_function(example2())
+        assert not strict.ok

@@ -15,14 +15,17 @@ from repro.deps import block_schedule_graph
 from repro.deps.bitset import DependenceBitKernel
 from repro.deps.false_dependence import false_dependence_graph
 from repro.machine.presets import two_unit_superscalar
+from repro.pipeline import driver as driver_module
 from repro.pipeline.driver import (
+    BUDGET_EXHAUSTED,
     EXIT_INTERNAL,
     CompilationDriver,
     DriverConfig,
+    PhaseGuard,
 )
 from repro.utils import faults
 from repro.utils.errors import BudgetExceededError
-from repro.workloads import ALL_KERNELS, example1
+from repro.workloads import ALL_KERNELS, RandomBlockConfig, example1, random_block
 
 
 @pytest.fixture(autouse=True)
@@ -114,3 +117,55 @@ class TestDriverMidPhase:
         outcome = driver.compile_function(example1())
         assert outcome.ok
         assert outcome.report.status == "ok"
+
+
+class TestColorPhaseDeadline:
+    """Coloring polls the mid-phase checker: a budget that runs out
+    inside the combined coloring aborts the compile from the ``color``
+    phase instead of finishing the round (or degrading to Chaitin)."""
+
+    @pytest.mark.parametrize("backend", ["compact", "reference"])
+    def test_expiry_inside_coloring_aborts(
+        self, machine, monkeypatch, backend
+    ):
+        state = {"coloring": False, "polls": 0}
+
+        def watched(colorer):
+            def run(*args, **kwargs):
+                state["coloring"] = True
+                try:
+                    return colorer(*args, **kwargs)
+                finally:
+                    state["coloring"] = False
+
+            return run
+
+        def checker(guard):
+            def check():
+                if state["coloring"]:
+                    state["polls"] += 1
+                    if state["polls"] >= 3:
+                        raise BudgetExceededError(
+                            BUDGET_EXHAUSTED + " (mid-phase preemption)"
+                        )
+
+            return check
+
+        for name in ("pinter_color", "reference_pinter_color"):
+            monkeypatch.setattr(
+                driver_module, name, watched(getattr(driver_module, name))
+            )
+        monkeypatch.setattr(PhaseGuard, "mid_phase_checker", checker)
+        report = CompilationDriver(
+            machine, num_registers=8, config=DriverConfig(backend=backend)
+        ).compile_function(
+            random_block(RandomBlockConfig(size=128, seed=128))
+        ).report
+        assert state["polls"] == 3
+        assert report.status == "failed"
+        assert report.exit_code == EXIT_INTERNAL
+        errors = [d for d in report.diagnostics if d.severity == "error"]
+        assert [d.phase for d in errors] == ["color"]
+        assert "mid-phase" in errors[0].message
+        assert not report.degraded
+        assert not any(d.recovery for d in report.diagnostics)

@@ -231,3 +231,22 @@ class TestCommittedBackendBaseline:
             compact = by_phase["{}_compact".format(kernel)]["wall_s"]
             reference = by_phase["{}_reference".format(kernel)]["wall_s"]
             assert reference / compact >= 3.0, kernel
+
+    def test_committed_pinter_baseline_holds_the_floors(self):
+        repo = os.path.dirname(TOOLS)
+        with open(os.path.join(repo, "BENCH_pr15.json")) as handle:
+            rows = json.load(handle)
+        walls = {
+            (r["workload"], r["phase"]): r["wall_s"] for r in rows
+        }
+        # Recorded, not re-measured: the compact combined-coloring
+        # kernel >= 5x its oracle, and the older floors still held.
+        floors = (
+            ("backend-pinter-n128", "pinter", 5.0),
+            ("backend-n2048", "interference", 3.0),
+            ("backend-n2048", "color", 3.0),
+        )
+        for workload, kernel, floor in floors:
+            reference = walls[workload, kernel + "_reference"]
+            compact = walls[workload, kernel + "_compact"]
+            assert reference / compact >= floor, kernel

@@ -19,10 +19,17 @@ load spike hits both sides instead of skewing the ratio):
   augmented scheduler vs the dict/graph one on the same schedule
   graph + E_f (same cycle map, checked).
 
-The PR-10 acceptance floor (``--check``, and the committed
-``BENCH_pr10.json`` via ``make bench-backend-check``): compact must be
->= 3x faster than reference on BOTH the interference and coloring
-phases of the large-block workload.
+Workload ``backend-pinter-n128``: the first-round PIG of
+``random_block(size=128, seed=128)`` at r=8 — the driver's primary
+path.  Phases ``pinter_compact`` / ``pinter_reference`` time the
+compact combined-coloring kernel against its networkx oracle,
+interleaved the same way, after checking that both return the same
+coloring, spills, selection order and removed false edges.
+
+Floors (``--check``; ``make bench-backend-check`` re-asserts them as
+same-run ratios with ``tools/bench_compare.py``): compact must be
+>= 3x faster than reference on BOTH the interference and Chaitin
+coloring phases of the large block, and >= 5x on combined coloring.
 
 Run:  PYTHONPATH=src python tools/bench_backend.py -o BENCH_backend_current.json
       PYTHONPATH=src python tools/bench_backend.py --check
@@ -43,6 +50,7 @@ from repro.regalloc.compact import (
     compact_chaitin_color,
 )
 from repro.regalloc.interference import build_interference_graph
+from repro.regalloc.spill import make_cost_function
 from repro.sched.augmented import augmented_schedule, compact_augmented_schedule
 from repro.workloads import RandomBlockConfig, random_block
 
@@ -50,7 +58,14 @@ from repro.workloads import RandomBlockConfig, random_block
 #: on the interference and coloring phases of the large block.
 COMPACT_OVER_REFERENCE_MIN = 3.0
 
-#: Registers for the coloring phase — low enough that the dense block
+#: Combined-coloring floor: the compact Pinter kernel must be >= 5x
+#: faster than its networkx oracle on the n=128 first-round PIG.
+PINTER_OVER_REFERENCE_MIN = 5.0
+
+#: Instruction count of the combined-coloring workload's block.
+PINTER_SIZE = 128
+
+#: Registers for the coloring phases — low enough that the dense block
 #: spills hard, exercising the victim scan, not just simplification.
 COLORS = 8
 
@@ -63,6 +78,80 @@ def timed(thunk):
 
 def _cycles(schedule):
     return {instr.uid: cycle for instr, cycle in schedule.cycle_of.items()}
+
+
+def _interleaved(pairs, repeats):
+    """Per-phase minimum wall over *repeats* rounds, compact and
+    reference alternating so a load spike hits both sides."""
+    walls = {}
+    for _ in range(repeats):
+        for name, (fast, slow) in pairs.items():
+            for suffix, thunk in (("compact", fast), ("reference", slow)):
+                key = "{}_{}".format(name, suffix)
+                wall, _ = timed(thunk)
+                walls[key] = min(walls.get(key, float("inf")), wall)
+    return walls
+
+
+def _record(workload, pairs, walls, n_instrs, rows):
+    """Append one row per phase; return {phase_pair_name: speedup}."""
+    speedups = {}
+    for name in pairs:
+        for suffix in ("compact", "reference"):
+            phase = "{}_{}".format(name, suffix)
+            rows.append({
+                "workload": workload,
+                "phase": phase,
+                "wall_s": round(walls[phase], 6),
+                "n_instrs": n_instrs,
+            })
+            print("{:<20} {:<24} {:>9.3f}s".format(
+                workload, phase, walls[phase]))
+        compact_wall = walls["{}_compact".format(name)]
+        reference_wall = walls["{}_reference".format(name)]
+        speedup = (
+            reference_wall / compact_wall if compact_wall else float("inf")
+        )
+        speedups[name] = speedup
+        print("{:<20} {} compact speedup: {:.2f}x".format(
+            workload, name, speedup))
+    return speedups
+
+
+def bench_pinter(repeats, rows):
+    """Combined coloring on the n=128 first-round PIG at r=8.
+
+    Returns {"pinter": speedup} for the floor check.
+    """
+    # Imported here, not at the top: loading ``repro.core`` before the
+    # n=2048 workload shifts garbage collections into its short
+    # compact-interference runs and halves that measured ratio.
+    from repro.core.coloring import pinter_color, reference_pinter_color
+    from repro.core.parallel_interference import (
+        build_parallel_interference_graph,
+    )
+
+    fn = random_block(RandomBlockConfig(size=PINTER_SIZE, seed=PINTER_SIZE))
+    n_instrs = sum(len(b) for b in fn.blocks())
+    workload = "backend-pinter-n{}".format(PINTER_SIZE)
+    pig = build_parallel_interference_graph(fn, two_unit_superscalar())
+    cost = make_cost_function(fn)
+
+    def fast():
+        return pinter_color(pig, COLORS, cost=cost)
+
+    def slow():
+        return reference_pinter_color(pig, COLORS, cost=cost)
+
+    if fast().signature() != slow().signature():
+        raise SystemExit(
+            "bench_backend: compact and reference Pinter coloring disagree "
+            "on {} — timings would be meaningless".format(workload)
+        )
+    pairs = {"pinter": (fast, slow)}
+    return _record(
+        workload, pairs, _interleaved(pairs, repeats), n_instrs, rows
+    )
 
 
 def bench_large_block(size, window, repeats, rows):
@@ -133,37 +222,9 @@ def bench_large_block(size, window, repeats, rows):
             lambda: augmented_schedule(sg, fdg, machine),
         ),
     }
-    walls = {}
-    for _ in range(repeats):
-        for name, (fast, slow) in pairs.items():
-            wall, _ = timed(fast)
-            key = "{}_compact".format(name)
-            walls[key] = min(walls.get(key, float("inf")), wall)
-            wall, _ = timed(slow)
-            key = "{}_reference".format(name)
-            walls[key] = min(walls.get(key, float("inf")), wall)
-
-    speedups = {}
-    for name in pairs:
-        for suffix in ("compact", "reference"):
-            phase = "{}_{}".format(name, suffix)
-            rows.append({
-                "workload": workload,
-                "phase": phase,
-                "wall_s": round(walls[phase], 6),
-                "n_instrs": n_instrs,
-            })
-            print("{:<16} {:<24} {:>9.3f}s".format(
-                workload, phase, walls[phase]))
-        compact_wall = walls["{}_compact".format(name)]
-        reference_wall = walls["{}_reference".format(name)]
-        speedup = (
-            reference_wall / compact_wall if compact_wall else float("inf")
-        )
-        speedups[name] = speedup
-        print("{:<16} {} compact speedup: {:.2f}x".format(
-            workload, name, speedup))
-    return speedups
+    return _record(
+        workload, pairs, _interleaved(pairs, repeats), n_instrs, rows
+    )
 
 
 def main(argv=None) -> int:
@@ -184,7 +245,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail unless compact >= {:.0f}x reference on interference "
-        "and coloring".format(COMPACT_OVER_REFERENCE_MIN),
+        "and Chaitin coloring and >= {:.0f}x on combined coloring".format(
+            COMPACT_OVER_REFERENCE_MIN, PINTER_OVER_REFERENCE_MIN
+        ),
     )
     parser.add_argument(
         "-o", "--output", default=None, metavar="FILE",
@@ -200,6 +263,7 @@ def main(argv=None) -> int:
 
     rows = []
     speedups = bench_large_block(args.size, args.window, args.repeats, rows)
+    speedups.update(bench_pinter(args.repeats, rows))
 
     if args.output:
         with open(args.output, "w") as handle:
@@ -208,22 +272,27 @@ def main(argv=None) -> int:
         print("wrote {}".format(args.output))
 
     if args.check:
+        floors = {
+            "interference": COMPACT_OVER_REFERENCE_MIN,
+            "color": COMPACT_OVER_REFERENCE_MIN,
+            "pinter": PINTER_OVER_REFERENCE_MIN,
+        }
         failed = [
-            name for name in ("interference", "color")
-            if speedups[name] < COMPACT_OVER_REFERENCE_MIN
+            "{} ({:.2f}x < {:.0f}x)".format(name, speedups[name], floor)
+            for name, floor in floors.items()
+            if speedups[name] < floor
         ]
         if failed:
             print(
-                "bench_backend: FAIL — compact below the {:.0f}x floor "
-                "on: {}".format(
-                    COMPACT_OVER_REFERENCE_MIN, ", ".join(failed)
-                ),
+                "bench_backend: FAIL — compact below its floor on: "
+                "{}".format(", ".join(failed)),
                 file=sys.stderr,
             )
             return 1
         print("bench_backend: floors hold (interference {:.2f}x, "
-              "color {:.2f}x)".format(
-                  speedups["interference"], speedups["color"]))
+              "color {:.2f}x, pinter {:.2f}x)".format(
+                  speedups["interference"], speedups["color"],
+                  speedups["pinter"]))
     return 0
 
 
