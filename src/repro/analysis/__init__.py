@@ -38,6 +38,7 @@ from repro.analysis.regions import (
     Region,
     plausible_pairs,
     region_instructions,
+    regions_for,
     schedule_regions,
 )
 from repro.analysis.webs import Web, build_webs, web_of_definition
@@ -72,6 +73,7 @@ __all__ = [
     "reaching_at_uses",
     "reaching_definitions",
     "region_instructions",
+    "regions_for",
     "schedule_regions",
     "solve_gen_kill",
     "web_of_definition",

@@ -100,6 +100,19 @@ def schedule_regions(fn: Function) -> List[Region]:
     ]
 
 
+def regions_for(fn: Function, use_regions: bool = True) -> List[Region]:
+    """The units the false-dependence graphs are built over:
+    :func:`schedule_regions` (the global form), or with
+    ``use_regions=False`` one region per block (classic per-basic-block
+    operation)."""
+    if use_regions:
+        return schedule_regions(fn)
+    return [
+        Region(blocks=(name,), index=i)
+        for i, name in enumerate(fn.block_names())
+    ]
+
+
 def region_instructions(fn: Function, region: Region) -> List:
     """All instructions of a region in layout order (the joint "block"
     the global schedule graph is built over)."""

@@ -192,33 +192,47 @@ def _region_cache_enabled(args: argparse.Namespace) -> bool:
     )
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    import json
+def _driver_config(args: argparse.Namespace, engine: str):
+    """The :class:`~repro.pipeline.driver.DriverConfig` of the driver
+    flags shared by compile, batch and serve (*engine* is
+    ``--pig-engine`` or ``--engine``), after checking the budgets.
 
-    from repro.ir import format_function
-    from repro.pipeline.driver import CompilationDriver, DriverConfig
+    Raises:
+        InputError: on a non-positive ``--max-instrs`` or
+            ``--time-budget``.
+    """
+    from repro.pipeline.driver import DriverConfig
 
-    # Validate everything user-controlled before running any strategy.
-    names = _strategy_names(args.strategy)
-    machine = _machine(args.machine, args.registers)
-    registers = args.registers or machine.num_registers
     if args.max_instrs is not None and args.max_instrs < 1:
         raise InputError("--max-instrs must be positive")
     if args.time_budget is not None and args.time_budget <= 0:
         raise InputError("--time-budget must be positive seconds")
-    _install_cli_faults(args)
-
-    config = DriverConfig(
+    return DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
         max_instrs=args.max_instrs,
         time_budget=args.time_budget,
         optimize=args.optimize,
-        engine=args.pig_engine,
+        engine=engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend=args.backend,
     )
+
+
+def cmd_compile(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.ir import format_function
+    from repro.pipeline.driver import CompilationDriver
+
+    # Validate everything user-controlled before running any strategy.
+    names = _strategy_names(args.strategy)
+    machine = _machine(args.machine, args.registers)
+    registers = args.registers or machine.num_registers
+    config = _driver_config(args, args.pig_engine)
+    _install_cli_faults(args)
+
     driver = CompilationDriver(machine, num_registers=registers, config=config)
 
     with open(args.file) as handle:
@@ -313,7 +327,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.pipeline.driver import DriverConfig
     from repro.service import (
         BatchRunner,
         CircuitBreaker,
@@ -326,10 +339,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise InputError("batch needs a manifest file or --fuzz N")
     if args.manifest is not None and args.fuzz is not None:
         raise InputError("a manifest and --fuzz are mutually exclusive")
-    if args.max_instrs is not None and args.max_instrs < 1:
-        raise InputError("--max-instrs must be positive")
-    if args.time_budget is not None and args.time_budget <= 0:
-        raise InputError("--time-budget must be positive seconds")
+    config = _driver_config(args, args.engine)
     _install_cli_faults(args)
 
     if args.fuzz is not None:
@@ -345,17 +355,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    config = DriverConfig(
-        strict=args.strict,
-        paranoid=args.paranoid,
-        max_instrs=args.max_instrs,
-        time_budget=args.time_budget,
-        optimize=args.optimize,
-        engine=args.engine,
-        region_cache=_region_cache_enabled(args),
-        region_cache_dir=args.region_cache_dir,
-        backend=args.backend,
-    )
     runner = BatchRunner(
         machine=args.machine,
         registers=args.registers,
@@ -468,13 +467,9 @@ def _supervised_child_args(args: argparse.Namespace) -> List[str]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.pipeline.driver import DriverConfig
     from repro.service.server import CompileServer
 
-    if args.max_instrs is not None and args.max_instrs < 1:
-        raise InputError("--max-instrs must be positive")
-    if args.time_budget is not None and args.time_budget <= 0:
-        raise InputError("--time-budget must be positive seconds")
+    config = _driver_config(args, args.engine)
 
     if args.supervised:
         from repro.service.supervisor import Supervisor
@@ -507,17 +502,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    config = DriverConfig(
-        strict=args.strict,
-        paranoid=args.paranoid,
-        max_instrs=args.max_instrs,
-        time_budget=args.time_budget,
-        optimize=args.optimize,
-        engine=args.engine,
-        region_cache=_region_cache_enabled(args),
-        region_cache_dir=args.region_cache_dir,
-        backend=args.backend,
-    )
     server = CompileServer(
         host=args.host,
         port=args.port,

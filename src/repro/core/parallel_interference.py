@@ -25,18 +25,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.analysis.reaching import DefPoint
-from repro.analysis.regions import Region, schedule_regions
+from repro.analysis.regions import Region, regions_for
 from repro.analysis.webs import Web, web_of_definition
-from repro.deps.false_dependence import (
-    FalseDependenceGraph,
-    false_dependence_graph,
-)
-from repro.deps.schedule_graph import region_schedule_graph
+from repro.deps.false_dependence import FalseDependenceGraph
+from repro.deps.reference import reference_project_false_pairs_to_webs
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.machine.model import MachineDescription
@@ -172,42 +169,6 @@ class ParallelInterferenceGraph:
         return clone
 
 
-def _project_false_pairs_to_webs(
-    fdg: FalseDependenceGraph,
-    def_to_web: Dict[DefPoint, Web],
-) -> Set[Tuple[Web, Web]]:
-    """Map instruction-level E_f pairs to web pairs (defs only; nodes
-    like stores and branches have no value to allocate and only appear
-    in the augmented graph).
-
-    On the bitset path each web gets a mask of its defining
-    instructions' positions; two webs are connected iff the OR of one
-    web's E_f rows intersects the other's definition mask — pure word
-    ops, never materializing E_f tuples.  The reference path iterates
-    the tuple set (:mod:`repro.deps.reference`).
-    """
-    kernel = fdg.kernel
-    if kernel is None:
-        from repro.deps.reference import reference_project_false_pairs_to_webs
-
-        return reference_project_false_pairs_to_webs(fdg, def_to_web)
-
-    pairs: Set[Tuple[Web, Web]] = set()
-    webs, masks = _web_def_masks(kernel, def_to_web)
-    ef_rows = kernel.ef_rows
-    count = len(webs)
-    for a, web_u in enumerate(webs):
-        neighbor_mask = 0
-        for i in iter_bits(masks[a]):
-            neighbor_mask |= ef_rows[i]
-        if not neighbor_mask:
-            continue
-        for b in range(a + 1, count):
-            if neighbor_mask & masks[b]:
-                pairs.add((web_u, webs[b]))
-    return pairs
-
-
 def _web_def_masks(
     kernel, def_to_web: Dict[DefPoint, Web]
 ) -> Tuple[List[Web], List[int]]:
@@ -224,17 +185,33 @@ def _web_def_masks(
 
 
 def _splice_false_edges(
-    kernel,
+    fdg: FalseDependenceGraph,
     def_to_web: Dict[DefPoint, Web],
     graph: nx.Graph,
 ) -> None:
-    """Project the kernel's E_f onto web pairs and write them straight
-    into *graph*'s adjacency dicts (every web already a node).
+    """Project one region's E_f onto web pairs (defs only; nodes like
+    stores and branches have no value to allocate and only appear in
+    the augmented graph) and add them to *graph* (every web already a
+    node).
 
-    Fused projection + insertion: each source web's row is fetched
-    once, pairs are never materialized as hashed tuples, and edges
-    share one attribute dict between both directions — the dominant
-    cost of PIG construction before the fusion."""
+    Kernel-backed graphs take the fused path: each web gets a mask of
+    its defining instructions' positions, two webs are connected iff
+    the OR of one web's E_f rows intersects the other's mask, and the
+    edge is written straight into networkx's adjacency dicts with one
+    attribute dict shared by both directions — pairs are never
+    materialized as hashed tuples.  Pair-set graphs (the reference
+    engine) go through the tuple-at-a-time projection of
+    :mod:`repro.deps.reference`."""
+    kernel = fdg.kernel
+    if kernel is None:
+        for web_a, web_b in reference_project_false_pairs_to_webs(
+            fdg, def_to_web
+        ):
+            if graph.has_edge(web_a, web_b):
+                graph.edges[web_a, web_b]["origin"] |= EdgeOrigin.FALSE
+            else:
+                graph.add_edge(web_a, web_b, origin=EdgeOrigin.FALSE)
+        return
     webs, masks = _web_def_masks(kernel, def_to_web)
     ef_rows = kernel.ef_rows
     adj = graph._adj
@@ -261,13 +238,8 @@ def _splice_false_edges(
 
 def _insert_edges_fast(graph: nx.Graph, edges, origin: EdgeOrigin) -> None:
     """Batch edge insertion writing networkx's adjacency dicts
-    directly (every endpoint must already be a node).  Falls back to
-    ``add_edges_from`` if the internals are not the expected
-    dict-of-dicts (exotic graph subclasses)."""
-    adj = getattr(graph, "_adj", None)
-    if adj is None:  # pragma: no cover - non-standard nx subclass
-        graph.add_edges_from(edges, origin=origin)
-        return
+    directly (every endpoint must already be a node)."""
+    adj = graph._adj
     for u, v in edges:
         data = {"origin": origin}
         adj[u][v] = data
@@ -299,8 +271,14 @@ def build_parallel_interference_graph(
     engine: str = "bitset",
     check_deadline=None,
     backend: str = "reference",
+    region_cache=None,
+    config_fingerprint: str = "",
 ) -> ParallelInterferenceGraph:
     """Build G for *fn* on *machine*.
+
+    G_r is inserted first; then each scheduling region's G_f, from
+    :func:`~repro.pipeline.incremental.region_false_graph`, is spliced
+    onto the web graph in region order.
 
     Args:
         fn: Symbolic-register function (single- or multi-block).
@@ -321,53 +299,41 @@ def build_parallel_interference_graph(
         backend: ``"compact"`` builds the embedded interference graph
             on bitrows (identical edges, bulk-inserted); ``"reference"``
             keeps the classic builder.
+        region_cache: Optional region-kernel
+            :class:`~repro.cache.store.CompileCache`: every region
+            kernel is looked up by its IR digest and only the misses
+            are built.  The graph is bit-identical to the cold build.
+        config_fingerprint: ``DriverConfig.fingerprint()`` component
+            of the region keys (only read when *region_cache* is set).
     """
+    from repro.pipeline.incremental import _note_region, region_false_graph
+
     if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
     interference = interference_for_backend(fn, backend)
     def_to_web = web_of_definition(interference.webs)
-
-    if use_regions:
-        regions = schedule_regions(fn)
-    else:
-        regions = [
-            Region(blocks=(name,), index=i)
-            for i, name in enumerate(fn.block_names())
-        ]
+    regions = regions_for(fn, use_regions)
 
     graph = nx.Graph()
     graph.add_nodes_from(interference.webs)
-    interference_edges = list(interference.graph.edges())
-    if engine == "bitset":
-        _insert_edges_fast(graph, interference_edges, EdgeOrigin.INTERFERENCE)
-    else:
-        for a, b in interference_edges:
-            graph.add_edge(a, b, origin=EdgeOrigin.INTERFERENCE)
+    _insert_edges_fast(
+        graph, interference.graph.edges(), EdgeOrigin.INTERFERENCE
+    )
 
     false_graphs: List[FalseDependenceGraph] = []
     for region in regions:
         if check_deadline is not None:
             check_deadline()
-        sg = region_schedule_graph(fn, region.blocks, machine=machine)
-        if not sg.instructions:
-            continue
-        if engine == "bitset":
-            fdg = false_dependence_graph(
-                sg, machine, check_deadline=check_deadline
-            )
+        fdg = region_false_graph(
+            fn, region, machine, engine, region_cache,
+            config_fingerprint=config_fingerprint,
+            check_deadline=check_deadline,
+        )
+        if fdg is not None:
             false_graphs.append(fdg)
-            _splice_false_edges(fdg.kernel, def_to_web, graph)
-        else:
-            from repro.deps.reference import reference_false_dependence_graph
-
-            fdg = reference_false_dependence_graph(sg, machine)
-            false_graphs.append(fdg)
-            projected = _project_false_pairs_to_webs(fdg, def_to_web)
-            for web_a, web_b in projected:
-                if graph.has_edge(web_a, web_b):
-                    graph.edges[web_a, web_b]["origin"] |= EdgeOrigin.FALSE
-                else:
-                    graph.add_edge(web_a, web_b, origin=EdgeOrigin.FALSE)
+            _splice_false_edges(fdg, def_to_web, graph)
+    if region_cache is not None:
+        _note_region("compose")
 
     return ParallelInterferenceGraph(
         graph=graph,

@@ -725,8 +725,8 @@ class CompilationDriver:
                 prepared, allocated, self.machine,
                 use_regions=self.config.use_regions,
                 engine=meta.engine,
-                region_cache=self._region_cache(meta.engine),
-                config_fingerprint=self.config.fingerprint(),
+                check_deadline=guard.mid_phase_checker(),
+                **self._region_cache_args(meta.engine),
             ),
         )
         self._judge_theorem1(report, meta, len(violations))
@@ -777,15 +777,15 @@ class CompilationDriver:
     # -- region cache gating -------------------------------------------
 
     def _region_cache(self, engine: str):
-        """The region-kernel cache for a build with *engine*, or None
-        when any honesty gate trips.
+        """The region-kernel cache for a build with *engine*, or None.
 
-        The gates mirror the whole-compile cache's "only clean
-        primary-rung successes" rule at region grain: the cache is
-        consulted only for the config's **primary** engine (a ladder
-        fallback rung is a degraded result that must not be stored or
-        replayed), only for engines with a wire-row kernel, and never
-        while fault injection is armed.
+        Mirrors the whole-compile cache's "only clean primary-rung
+        successes" rule at region grain: the cache is consulted only
+        for the config's **primary** engine (a ladder fallback rung is
+        a degraded result that must not be stored or replayed) and
+        never while fault injection is armed.  Which engines and
+        regions the store serves is
+        :func:`~repro.pipeline.incremental.region_false_graph`'s call.
         """
         cfg = self.config
         if (
@@ -794,14 +794,21 @@ class CompilationDriver:
             or faults.active_specs()
         ):
             return None
-        from repro.pipeline.incremental import (
-            CACHEABLE_ENGINES,
-            region_cache_for,
-        )
+        from repro.pipeline.incremental import region_cache_for
 
-        if engine not in CACHEABLE_ENGINES:
-            return None
         return region_cache_for(cfg.region_cache_dir)
+
+    def _region_cache_args(self, engine: str) -> Dict[str, object]:
+        """``region_cache`` / ``config_fingerprint`` keyword arguments
+        for a region-grain build with *engine* (the fingerprint is only
+        hashed when a cache is in play)."""
+        cache = self._region_cache(engine)
+        return {
+            "region_cache": cache,
+            "config_fingerprint": (
+                "" if cache is None else self.config.fingerprint()
+            ),
+        }
 
     # -- pig -----------------------------------------------------------
 
@@ -828,21 +835,12 @@ class CompilationDriver:
         def build(
             target: str, backend: Optional[str] = None
         ) -> ParallelInterferenceGraph:
-            backend = cfg.backend if backend is None else backend
-            cache = self._region_cache(target)
-            if cache is not None:
-                from repro.pipeline.incremental import build_incremental_pig
-
-                return build_incremental_pig(
-                    work, self.machine, cache,
-                    use_regions=cfg.use_regions, engine=target,
-                    config_fingerprint=cfg.fingerprint(),
-                    check_deadline=mid_phase, backend=backend,
-                )
             return build_parallel_interference_graph(
                 work, self.machine,
                 use_regions=cfg.use_regions, engine=target,
-                check_deadline=mid_phase, backend=backend,
+                check_deadline=mid_phase,
+                backend=cfg.backend if backend is None else backend,
+                **self._region_cache_args(target),
             )
 
         ladder = _ENGINE_LADDER[engine]

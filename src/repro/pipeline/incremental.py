@@ -15,13 +15,14 @@ This module is the reuse path:
   :class:`~repro.cache.store.CompileCache` opened with the ``region``
   namespace (own shards, quarantine, and LRU inside a shared
   ``--cache-dir``).
-* :func:`cached_region_fdg` — one region/block kernel build routed
-  through the cache; used by the driver's theorem-1 check and the
-  scheduler's per-block false-dependence graphs.
-* :func:`build_incremental_pig` — the whole-function build: split into
-  regions, look every region up, rebuild only the misses, and compose
-  the function result by web stitching, bit-identical to the cold
-  build.
+* :func:`region_false_graph` — one scheduling region's G_f, the single
+  source of region graphs for
+  :func:`~repro.core.parallel_interference.build_parallel_interference_graph`
+  (given a ``region_cache``, it composes a function from replayed and
+  rebuilt regions, bit-identical to the cold build) and for the
+  Theorem 1 check.
+* :func:`cached_region_fdg` — the same lookup for a prebuilt schedule
+  graph; used by the scheduler's per-block false-dependence graphs.
 
 Cache honesty mirrors the whole-compile tiers:
 
@@ -38,9 +39,9 @@ Cache honesty mirrors the whole-compile tiers:
   its primary engine, and the batch/serve retry ladders disable the
   region cache outright in their degraded-rung configs.
 
-Every lookup emits ``cache.region.{hit,miss}`` and every stitched
-function ``cache.region.compose`` — trace counters, so ``repro stats``
-surfaces the hit rate of a session.
+Every lookup emits ``cache.region.{hit,miss}`` and every function
+built with a region cache ``cache.region.compose`` — trace counters,
+so ``repro stats`` surfaces the hit rate of a session.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.analysis.regions import Region, schedule_regions
-from repro.analysis.webs import web_of_definition
+from repro.analysis.regions import Region
 from repro.cache.keys import (
     RegionCacheKey,
     region_cache_key,
@@ -58,13 +58,6 @@ from repro.cache.keys import (
     region_digest_parts,
 )
 from repro.cache.store import CompileCache
-from repro.core.parallel_interference import (
-    EdgeOrigin,
-    ParallelInterferenceGraph,
-    _insert_edges_fast,
-    _splice_false_edges,
-    interference_for_backend,
-)
 from repro.core.scheduling_value import region_value_rows
 from repro.deps.bitset import DependenceBitKernel, InstructionIndex
 from repro.deps.false_dependence import (
@@ -75,6 +68,7 @@ from repro.deps.global_deps import (
     shared_function_dependence_graph,
     transit_dependence_pairs,
 )
+from repro.deps.reference import reference_false_dependence_graph
 from repro.deps.schedule_graph import ScheduleGraph, region_schedule_graph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -82,7 +76,6 @@ from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
 from repro.utils import faults
-from repro.utils.errors import InputError
 
 #: Report discriminator of a stored region kernel.
 PIG_REGION_KIND = "pig_region"
@@ -249,11 +242,25 @@ def _lookup(
     return kernel, _value_rows_from_report(report, len(instructions))
 
 
-def _note_region(what: str, count: int = 1) -> None:
-    if count <= 0:
-        return
-    get_metrics().counter("cache.region.{}".format(what)).inc(count)
-    get_tracer().counter("cache.region.{}".format(what), count)
+def _note_region(what: str) -> None:
+    get_metrics().counter("cache.region.{}".format(what)).inc()
+    get_tracer().counter("cache.region.{}".format(what), 1)
+
+
+def _cache_serves(
+    cache: Optional[CompileCache], engine: str, size: int
+) -> bool:
+    """The honesty gates: a store is consulted only when there is one,
+    the engine has wire rows, the region is big enough to be worth the
+    round-trip, and **no fault is armed** (an injected fault must never
+    freeze into a stored kernel, nor may a replay mask the fault path
+    under test)."""
+    return (
+        cache is not None
+        and engine in CACHEABLE_ENGINES
+        and size >= MIN_CACHE_INSTRS
+        and not faults.active_specs()
+    )
 
 
 def cached_region_fdg(
@@ -263,24 +270,12 @@ def cached_region_fdg(
     cache: Optional[CompileCache],
     config_fingerprint: str = "",
     check_deadline: Optional[Callable[[], None]] = None,
-    min_instrs: int = MIN_CACHE_INSTRS,
 ) -> FalseDependenceGraph:
-    """One region's false-dependence graph, served from the region
-    cache when possible.
-
-    Falls through to a plain :func:`false_dependence_graph` build —
-    without consulting or populating the store — when any of the
-    honesty gates trips: no cache, an uncacheable engine, a region too
-    small to be worth the round-trip, or **armed faults** (an injected
-    fault must never freeze into a stored kernel, nor may a replay
-    mask the fault path under test).
-    """
-    if (
-        cache is None
-        or engine not in CACHEABLE_ENGINES
-        or len(sg.instructions) < min_instrs
-        or faults.active_specs()
-    ):
+    """One prebuilt schedule graph's false-dependence graph, served
+    from the region cache when the gates of :func:`_cache_serves`
+    allow; otherwise a plain :func:`false_dependence_graph` build that
+    neither consults nor populates the store."""
+    if not _cache_serves(cache, engine, len(sg.instructions)):
         return false_dependence_graph(
             sg, machine, check_deadline=check_deadline
         )
@@ -301,41 +296,52 @@ def cached_region_fdg(
     return fdg
 
 
-def cached_region_fdg_ir(
+def region_false_graph(
     fn: Function,
     region: Region,
     machine: MachineDescription,
-    engine: str,
-    cache: Optional[CompileCache],
+    engine: str = "bitset",
+    cache: Optional[CompileCache] = None,
     config_fingerprint: str = "",
-    dependence_graph: Optional[Callable[[], "nx.DiGraph"]] = None,
-    min_instrs: int = MIN_CACHE_INSTRS,
+    dependence_graph: Optional[nx.DiGraph] = None,
+    check_deadline: Optional[Callable[[], None]] = None,
 ) -> Optional[FalseDependenceGraph]:
-    """:func:`cached_region_fdg` keyed straight from the IR.
+    """G_f of one scheduling region of *fn*, or ``None`` for an empty
+    region — the one source of region graphs for the PIG build and the
+    Theorem 1 check.
 
-    The digest comes from the region's instruction texts, block
-    offsets, and transit pairs (see :func:`~repro.cache.keys.
-    region_digest_parts`), so a hit replays the kernel without ever
-    building the schedule graph — the returned graph carries a lazy
-    one for late consumers.  Returns ``None`` for an empty region.
-    *dependence_graph* is a zero-argument callable producing the
-    shared whole-function dependence graph (built at most once across
-    a caller's region loop).
+    ``engine="reference"`` builds the retained pair-set graph.  When
+    the gates of :func:`_cache_serves` pass, the region is classified
+    before anything is built: the key's digest comes from the region's
+    instruction texts, block offsets and transit pairs (see
+    :func:`~repro.cache.keys.region_digest_parts`), so a hit replays
+    the kernel without building the schedule graph — the returned
+    graph carries a lazy one for late consumers.  A miss builds the
+    kernel and stores it.  Otherwise the kernel is built with no
+    digest and no store traffic.
+
+    *dependence_graph* is the whole-function dependence graph the
+    transit pass of a multi-block region reads; by default the one
+    :func:`~repro.deps.global_deps.shared_function_dependence_graph`
+    memoizes for *fn*, so every region of every phase shares it.
+    *check_deadline* is forwarded to the kernel build.
     """
-    work = _RegionWork(
-        region, fn, machine,
-        dependence_graph
-        or (lambda: shared_function_dependence_graph(fn)),
-    )
-    if not work.instructions:
+    size = sum(len(fn.block(name).instructions) for name in region.blocks)
+    if not size:
         return None
-    if (
-        cache is None
-        or engine not in CACHEABLE_ENGINES
-        or len(work.instructions) < min_instrs
-        or faults.active_specs()
-    ):
-        return false_dependence_graph(work.sg(), machine)
+    if len(region.blocks) > 1 and dependence_graph is None:
+        dependence_graph = shared_function_dependence_graph(fn)
+    if not _cache_serves(cache, engine, size):
+        sg = region_schedule_graph(
+            fn, region.blocks, machine=machine,
+            dependence_graph=dependence_graph,
+        )
+        if engine == "reference":
+            return reference_false_dependence_graph(sg, machine)
+        return false_dependence_graph(
+            sg, machine, check_deadline=check_deadline
+        )
+    work = _RegionWork(region, fn, machine, dependence_graph)
     key = region_cache_key_from_digest(
         work.digest(), machine, engine, config_fingerprint
     )
@@ -350,18 +356,14 @@ def cached_region_fdg_ir(
             value_rows=value_rows,
         )
     _note_region("miss")
-    fdg = false_dependence_graph(work.sg(), machine)
-    cache.put(key, _entry_for(fdg.kernel, engine, work.sg()))
+    sg = work.sg()
+    fdg = false_dependence_graph(sg, machine, check_deadline=check_deadline)
+    cache.put(key, _entry_for(fdg.kernel, engine, sg))
     return fdg
 
 
-# ----------------------------------------------------------------------
-# The incremental whole-function build
-# ----------------------------------------------------------------------
-
-
 class _RegionWork:
-    """One non-empty region's build state.
+    """One non-empty region's cache identity.
 
     Carries the IR-level identity — the instruction sequence, the
     block start offsets, and the cross-region transit pairs — which is
@@ -387,7 +389,7 @@ class _RegionWork:
         region: Region,
         fn: Function,
         machine: MachineDescription,
-        dependence_graph: Callable[[], nx.DiGraph],
+        dependence_graph: Optional[nx.DiGraph],
     ) -> None:
         self.region = region
         self._fn = fn
@@ -402,7 +404,7 @@ class _RegionWork:
         self.boundaries = tuple(boundaries)
         if len(region.blocks) > 1:
             self.transit = transit_dependence_pairs(
-                fn, instructions, dependence_graph()
+                fn, instructions, dependence_graph
             )
         else:
             self.transit = []
@@ -429,157 +431,3 @@ class _RegionWork:
                 transit_pairs=self.transit,
             )
         return self._sg
-
-
-def build_incremental_pig(
-    fn: Function,
-    machine: MachineDescription,
-    cache: CompileCache,
-    use_regions: bool = True,
-    engine: str = "bitset",
-    config_fingerprint: str = "",
-    check_deadline: Optional[Callable[[], None]] = None,
-    backend: str = "reference",
-) -> ParallelInterferenceGraph:
-    """Build G for *fn* compiling only the regions the cache misses.
-
-    Splits the function exactly like the cold builders
-    (:func:`~repro.analysis.regions.schedule_regions` +
-    :func:`~repro.deps.schedule_graph.region_schedule_graph`), looks
-    every region kernel up by :class:`~repro.cache.keys.
-    RegionCacheKey`, rebuilds the misses, and stitches hits and
-    rebuilds onto the web graph in region order.  Output is
-    bit-identical to :func:`~repro.core.parallel_interference.
-    build_parallel_interference_graph` with the same *engine*.
-
-    Fault-armed processes bypass the store in both directions and
-    rebuild everything.
-    """
-    if engine not in CACHEABLE_ENGINES:
-        raise InputError(
-            "incremental PIG build needs one of {}, got {!r}".format(
-                "/".join(CACHEABLE_ENGINES), engine
-            )
-        )
-    tracer = get_tracer()
-    armed = bool(faults.active_specs())
-    with tracer.span(
-        "pig.incremental.build",
-        function=fn.name,
-        engine=engine,
-    ):
-        interference = interference_for_backend(fn, backend)
-        def_to_web = web_of_definition(interference.webs)
-        if use_regions:
-            regions = schedule_regions(fn)
-        else:
-            regions = [
-                Region(blocks=(name,), index=i)
-                for i, name in enumerate(fn.block_names())
-            ]
-
-        graph = nx.Graph()
-        graph.add_nodes_from(interference.webs)
-        _insert_edges_fast(
-            graph, list(interference.graph.edges()), EdgeOrigin.INTERFERENCE
-        )
-
-        # One whole-function dependence graph serves every multi-block
-        # region's transit pass (built lazily: all-single-block splits
-        # never pay for it).
-        fdep: List[Optional[nx.DiGraph]] = [None]
-
-        def dependence_graph() -> nx.DiGraph:
-            if fdep[0] is None:
-                fdep[0] = shared_function_dependence_graph(fn)
-            return fdep[0]
-
-        works: List[_RegionWork] = []
-        for region in regions:
-            if check_deadline is not None:
-                check_deadline()
-            work = _RegionWork(region, fn, machine, dependence_graph)
-            if work.instructions:
-                works.append(work)
-
-        # Phase 1: classify every region as hit or miss.  The digest
-        # comes straight from the IR-level identity, so a hit skips
-        # the schedule-graph build (the expensive O(n²) dependence
-        # scan) entirely.
-        kernels: Dict[int, object] = {}
-        value_rows: Dict[int, object] = {}
-        missed: List[int] = []
-        keys: Dict[int, RegionCacheKey] = {}
-        for slot, work in enumerate(works):
-            if check_deadline is not None:
-                check_deadline()
-            if armed or len(work.instructions) < MIN_CACHE_INSTRS:
-                missed.append(slot)
-                continue
-            key = region_cache_key_from_digest(
-                work.digest(), machine, engine, config_fingerprint
-            )
-            keys[slot] = key
-            hit = _lookup(cache, key, work.instructions)
-            if hit is not None:
-                kernels[slot], value_rows[slot] = hit
-            else:
-                missed.append(slot)
-        _note_region("hit", len(kernels))
-        _note_region("miss", len(missed))
-
-        # Phase 2: rebuild the misses.
-        for slot in missed:
-            if check_deadline is not None:
-                check_deadline()
-            kernels[slot] = false_dependence_graph(
-                works[slot].sg(), machine, check_deadline=check_deadline
-            ).kernel
-        for slot in missed:
-            key = keys.get(slot)
-            if key is not None and not armed:
-                cache.put(
-                    key,
-                    _entry_for(kernels[slot], engine, works[slot].sg()),
-                )
-
-        # Phase 3: compose — splice every kernel in region order.
-        # Replayed regions get a *lazy* schedule graph: nothing in the
-        # splice or the coloring needs it (the cached value rows cover
-        # the scheduling-value model), but late consumers of
-        # ``fdg.schedule_graph`` still find the exact graph they would
-        # have on the cold path.
-        false_graphs: List[FalseDependenceGraph] = []
-        for slot, work in enumerate(works):
-            if work._sg is not None:
-                fdg = FalseDependenceGraph(
-                    instructions=list(work.instructions),
-                    schedule_graph=work.sg(),
-                    kernel=kernels[slot],
-                )
-            else:
-                fdg = FalseDependenceGraph(
-                    instructions=list(work.instructions),
-                    schedule_graph_factory=work.sg,
-                    kernel=kernels[slot],
-                    value_rows=value_rows.get(slot),
-                )
-            false_graphs.append(fdg)
-            _splice_false_edges(fdg.kernel, def_to_web, graph)
-        _note_region("compose")
-        tracer.event(
-            "pig.incremental.done",
-            function=fn.name,
-            regions=len(works),
-            hits=len(works) - len(missed),
-            misses=len(missed),
-        )
-        return ParallelInterferenceGraph(
-            graph=graph,
-            interference=interference,
-            false_graphs=false_graphs,
-            regions=regions,
-            function=fn,
-            machine=machine,
-        )
-

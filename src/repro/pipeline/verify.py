@@ -15,15 +15,14 @@ E_f — i.e. every co-issue opportunity destroyed by register reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.regions import Region, schedule_regions
+from repro.analysis.regions import regions_for
 from repro.deps.datadeps import DependenceKind, register_dependences
-from repro.deps.false_dependence import false_dependence_graph
-from repro.deps.schedule_graph import region_schedule_graph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.machine.model import MachineDescription
+from repro.pipeline.incremental import region_false_graph
 from repro.utils.errors import IRError
 
 
@@ -71,6 +70,7 @@ def find_false_dependences(
     engine: str = "bitset",
     region_cache=None,
     config_fingerprint: str = "",
+    check_deadline: Optional[Callable[[], None]] = None,
 ) -> List[FalseDependenceViolation]:
     """All false dependences the allocation introduced.
 
@@ -100,12 +100,16 @@ def find_false_dependences(
         region_cache: Optional region-kernel
             :class:`~repro.cache.store.CompileCache`.  The check runs
             the same per-region kernels the PIG phase does over the
-            same symbolic function, so a cache the driver already
-            populated serves every region here for free.  The caller
-            owns the honesty gates (primary engine only, no armed
-            faults) — pass None otherwise.
+            same symbolic function (both take them from
+            :func:`~repro.pipeline.incremental.region_false_graph`), so
+            a cache the driver already populated serves every region
+            here for free.  The caller keeps degraded rungs off it —
+            pass None for anything but the primary engine.
         config_fingerprint: ``DriverConfig.fingerprint()`` component
             of the region keys (only read when *region_cache* is set).
+        check_deadline: Optional zero-argument callback polled once per
+            region and inside each kernel build; it raises to preempt
+            the check when the driver's wall-clock budget has expired.
 
     Raises:
         IRError: when the two functions' instructions do not correspond.
@@ -124,57 +128,18 @@ def find_false_dependences(
             "(instruction uids differ)"
         )
 
-    if use_regions:
-        regions = schedule_regions(original)
-    else:
-        regions = [
-            Region(blocks=(name,), index=i)
-            for i, name in enumerate(original.block_names())
-        ]
-
-    # One whole-function dependence graph serves every multi-block
-    # region's transit pass (lazy: all-single-block splits skip it).
-    fdep: List[object] = [None]
-
-    def _dependence_graph():
-        if fdep[0] is None:
-            from repro.deps.global_deps import (
-                shared_function_dependence_graph,
-            )
-
-            fdep[0] = shared_function_dependence_graph(original)
-        return fdep[0]
-
     violations: List[FalseDependenceViolation] = []
-    for region in regions:
-        symbolic_instrs: List[Instruction] = []
-        for name in region.blocks:
-            symbolic_instrs.extend(original.block(name).instructions)
-        if not symbolic_instrs:
+    for region in regions_for(original, use_regions):
+        if check_deadline is not None:
+            check_deadline()
+        fdg = region_false_graph(
+            original, region, machine, engine, region_cache,
+            config_fingerprint=config_fingerprint,
+            check_deadline=check_deadline,
+        )
+        if fdg is None:
             continue
-        if engine == "reference":
-            from repro.deps.reference import reference_false_dependence_graph
-
-            sg = region_schedule_graph(
-                original, region.blocks, machine=machine,
-                dependence_graph=(
-                    _dependence_graph() if len(region.blocks) > 1 else None
-                ),
-            )
-            fdg = reference_false_dependence_graph(sg, machine)
-        else:
-            # The IR-keyed path: a warm region cache replays the
-            # kernel without rebuilding the schedule graph; with no
-            # cache it degrades to a plain build that still shares
-            # the function dependence graph.
-            from repro.pipeline.incremental import cached_region_fdg_ir
-
-            fdg = cached_region_fdg_ir(
-                original, region, machine, engine, region_cache,
-                config_fingerprint=config_fingerprint,
-                dependence_graph=_dependence_graph,
-            )
-
+        symbolic_instrs = fdg.instructions
         allocated_instrs = [allocated_by_uid[i.uid] for i in symbolic_instrs]
         real_pairs = _symbolic_dependence_pairs(symbolic_instrs)
         for dep in register_dependences(allocated_instrs):

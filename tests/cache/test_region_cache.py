@@ -259,20 +259,20 @@ class TestStoreNamespace:
 
 class TestRegionCacheHonesty:
     def test_fault_armed_process_never_reads_or_writes(self):
-        from repro.pipeline.incremental import (
-            build_incremental_pig,
-            cached_region_fdg,
+        from repro.core.parallel_interference import (
+            build_parallel_interference_graph,
         )
+        from repro.pipeline.incremental import cached_region_fdg
 
         machine = two_unit_superscalar()
         fn = diamond_chain(num_diamonds=2, block_size=8, seed=0)
         cache = CompileCache(capacity=64)
         # Warm the cache cleanly first.
-        build_incremental_pig(fn, machine, cache, engine="bitset")
+        build_parallel_interference_graph(fn, machine, region_cache=cache)
         warm = cache.snapshot()
         assert warm["stores"] > 0
         with faults.inject("sched.augmented"):  # armed, never fired
-            build_incremental_pig(fn, machine, cache, engine="bitset")
+            build_parallel_interference_graph(fn, machine, region_cache=cache)
             sg = _first_region_sg(fn, machine)
             cached_region_fdg(sg, machine, "bitset", cache)
         after = cache.snapshot()

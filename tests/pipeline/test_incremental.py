@@ -1,7 +1,9 @@
-"""Equivalence of region-cached composition with the whole-function
-build: every cache state (cold, warm, partially warm) must stitch a
-graph bit-identical to :func:`build_parallel_interference_graph`, and
-the region-cached driver must emit bit-identical programs."""
+"""Equivalence of the region-cached PIG build with the cold build:
+every cache state (cold, warm, partially warm) must stitch a graph
+bit-identical to :func:`build_parallel_interference_graph` without a
+cache — same edges and origins, same node order, same per-node
+adjacency order — and the region-cached driver must emit bit-identical
+programs."""
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.pipeline.driver import (
     _pig_signature,
 )
 from repro.pipeline.incremental import (
-    build_incremental_pig,
     cached_region_fdg,
     region_cache_for,
     reset_region_caches,
@@ -45,13 +46,36 @@ def _one_instruction_function():
     return builder.function(name="tiny")
 
 
+def _cached(fn, machine, cache, **kwargs):
+    return build_parallel_interference_graph(
+        fn, machine, region_cache=cache, **kwargs
+    )
+
+
+def _graph_order(pig):
+    """Node order and per-node adjacency order of ``pig.graph`` by web
+    index: ``pinter_color`` derives ``rank`` from graph order and
+    ``signature()`` reads ``reduced_graph.edges()`` in order, so a
+    composed graph must match the cold one in order, not only as a
+    set."""
+    return [
+        (web.index, [nbr.index for nbr in pig.graph.adj[web]])
+        for web in pig.graph.nodes()
+    ]
+
+
+def _assert_same_graph(reference, other):
+    assert _pig_signature(reference) == _pig_signature(other)
+    assert _graph_order(reference) == _graph_order(other)
+
+
 def _assert_equivalent(fn, machine, engine):
     reference = build_parallel_interference_graph(fn, machine, engine=engine)
     cache = CompileCache(capacity=256)
-    cold = build_incremental_pig(fn, machine, cache, engine=engine)
-    warm = build_incremental_pig(fn, machine, cache, engine=engine)
-    assert _pig_signature(reference) == _pig_signature(cold)
-    assert _pig_signature(reference) == _pig_signature(warm)
+    cold = _cached(fn, machine, cache, engine=engine)
+    warm = _cached(fn, machine, cache, engine=engine)
+    _assert_same_graph(reference, cold)
+    _assert_same_graph(reference, warm)
 
 
 WORKLOADS = [
@@ -83,15 +107,13 @@ class TestBitIdenticalComposition:
         # changed): hits and misses mix within a single compose.
         machine = wide_issue()
         cache = CompileCache(capacity=256)
-        build_incremental_pig(
-            diamond_chain(4, 10, seed=6), machine, cache, engine="bitset"
-        )
+        _cached(diamond_chain(4, 10, seed=6), machine, cache, engine="bitset")
         edited = diamond_chain(4, 10, seed=7)
         reference = build_parallel_interference_graph(
             edited, machine, engine="bitset"
         )
-        mixed = build_incremental_pig(edited, machine, cache, engine="bitset")
-        assert _pig_signature(reference) == _pig_signature(mixed)
+        mixed = _cached(edited, machine, cache, engine="bitset")
+        _assert_same_graph(reference, mixed)
 
     def test_use_regions_false_matches(self):
         fn = diamond_chain(2, 8, seed=1)
@@ -101,10 +123,10 @@ class TestBitIdenticalComposition:
         )
         cache = CompileCache(capacity=256)
         for _ in range(2):
-            incr = build_incremental_pig(
+            incr = _cached(
                 fn, machine, cache, use_regions=False, engine="bitset"
             )
-            assert _pig_signature(reference) == _pig_signature(incr)
+            _assert_same_graph(reference, incr)
 
     def test_cached_fdg_matches_direct(self):
         from repro.analysis.regions import schedule_regions

@@ -14,7 +14,7 @@ from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.deps import block_schedule_graph
 from repro.deps.bitset import DependenceBitKernel
 from repro.deps.false_dependence import false_dependence_graph
-from repro.machine.presets import two_unit_superscalar
+from repro.machine.presets import two_unit_superscalar, wide_issue
 from repro.pipeline import driver as driver_module
 from repro.pipeline.driver import (
     BUDGET_EXHAUSTED,
@@ -26,6 +26,7 @@ from repro.pipeline.driver import (
 from repro.utils import faults
 from repro.utils.errors import BudgetExceededError
 from repro.workloads import ALL_KERNELS, RandomBlockConfig, example1, random_block
+from repro.workloads.generator import diamond_chain
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +167,49 @@ class TestColorPhaseDeadline:
         assert report.exit_code == EXIT_INTERNAL
         errors = [d for d in report.diagnostics if d.severity == "error"]
         assert [d.phase for d in errors] == ["color"]
+        assert "mid-phase" in errors[0].message
+        assert not report.degraded
+        assert not any(d.recovery for d in report.diagnostics)
+
+
+class TestTheorem1PhaseDeadline:
+    """The Theorem 1 check polls the mid-phase checker once per region
+    and inside every kernel build: a budget that runs out inside the
+    check fails the compile from the ``theorem1`` phase."""
+
+    def test_expiry_inside_check_aborts(self, monkeypatch):
+        state = {"checking": False, "polls": 0}
+        check = driver_module.find_false_dependences
+
+        def watched(*args, **kwargs):
+            state["checking"] = True
+            try:
+                return check(*args, **kwargs)
+            finally:
+                state["checking"] = False
+
+        def checker(guard):
+            def poll():
+                if state["checking"]:
+                    state["polls"] += 1
+                    if state["polls"] >= 3:
+                        raise BudgetExceededError(
+                            BUDGET_EXHAUSTED + " (mid-phase preemption)"
+                        )
+
+            return poll
+
+        monkeypatch.setattr(driver_module, "find_false_dependences", watched)
+        monkeypatch.setattr(PhaseGuard, "mid_phase_checker", checker)
+        report = CompilationDriver(
+            wide_issue(), num_registers=32
+        ).compile_function(diamond_chain(4, 10, seed=2)).report
+        assert state["polls"] == 3
+        assert report.status == "failed"
+        assert report.exit_code == EXIT_INTERNAL
+        errors = [d for d in report.diagnostics if d.severity == "error"]
+        assert [d.phase for d in errors] == ["theorem1"]
+        assert BUDGET_EXHAUSTED in errors[0].message
         assert "mid-phase" in errors[0].message
         assert not report.degraded
         assert not any(d.recovery for d in report.diagnostics)

@@ -231,6 +231,32 @@ class TestBackendChoices:
         assert "strategy=pinter" in capsys.readouterr().out
 
 
+class TestDriverFlagBudgets:
+    """compile, batch and serve reject a non-positive budget before
+    compiling anything (or starting a server): exit 2, one error line."""
+
+    @pytest.mark.parametrize("command", ["compile", "batch", "serve"])
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--time-budget", "--time-budget must be positive seconds"),
+            ("--max-instrs", "--max-instrs must be positive"),
+        ],
+    )
+    def test_zero_budget_exits_2(
+        self, src_file, command, flag, message, capsys
+    ):
+        argv = {
+            "compile": ["compile", src_file],
+            "batch": ["batch", "--fuzz", "1"],
+            "serve": ["serve"],
+        }[command]
+        assert main(argv + [flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: {}\n".format(message)
+        assert captured.out == ""
+
+
 class TestGraphCommand:
     @pytest.mark.parametrize("kind", ["cfg", "gs", "fdg", "ig", "pig"])
     def test_all_kinds(self, src_file, kind, capsys):

@@ -37,10 +37,13 @@ Exit: 0 on success (and, with --check, floors hold), 1 otherwise.
 """
 
 import argparse
+import gc
 import json
 import sys
 import time
 
+from repro.core.coloring import pinter_color, reference_pinter_color
+from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.deps.false_dependence import block_false_dependence_graph
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.machine.presets import two_unit_superscalar
@@ -82,12 +85,15 @@ def _cycles(schedule):
 
 def _interleaved(pairs, repeats):
     """Per-phase minimum wall over *repeats* rounds, compact and
-    reference alternating so a load spike hits both sides."""
+    reference alternating so a load spike hits both sides.  Each timed
+    run starts from a full collection, so neither side pays for
+    garbage the other (or the setup) left behind."""
     walls = {}
     for _ in range(repeats):
         for name, (fast, slow) in pairs.items():
             for suffix, thunk in (("compact", fast), ("reference", slow)):
                 key = "{}_{}".format(name, suffix)
+                gc.collect()
                 wall, _ = timed(thunk)
                 walls[key] = min(walls.get(key, float("inf")), wall)
     return walls
@@ -123,14 +129,6 @@ def bench_pinter(repeats, rows):
 
     Returns {"pinter": speedup} for the floor check.
     """
-    # Imported here, not at the top: loading ``repro.core`` before the
-    # n=2048 workload shifts garbage collections into its short
-    # compact-interference runs and halves that measured ratio.
-    from repro.core.coloring import pinter_color, reference_pinter_color
-    from repro.core.parallel_interference import (
-        build_parallel_interference_graph,
-    )
-
     fn = random_block(RandomBlockConfig(size=PINTER_SIZE, seed=PINTER_SIZE))
     n_instrs = sum(len(b) for b in fn.blocks())
     workload = "backend-pinter-n{}".format(PINTER_SIZE)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark region-grain incremental compilation (PR 9).
+"""Benchmark region-grain incremental compilation.
 
 Two measurement tiers, both against a region cache rooted in a
 throwaway directory:
@@ -23,9 +23,10 @@ the end-to-end guard is a regression floor (``incr`` >=
 ``E2E_INCR_OVER_COLD_MIN`` x faster than ``cold``), not the headline
 number.
 
-**Region compile path** — the subsystem this PR adds: a
-:func:`~repro.pipeline.incremental.cached_region_fdg_ir` sweep over
-every scheduling region, with the whole-function dependence graph
+**Region compile path** — the region cache itself: a
+:func:`~repro.pipeline.incremental.region_false_graph` sweep over
+every scheduling region (the per-region source the PIG build and the
+Theorem 1 check share), with the whole-function dependence graph
 prebuilt exactly as the driver shares it across phases:
 
 * ``kernel_cold`` / ``kernel_warm`` / ``kernel_incr`` — same three
@@ -60,8 +61,8 @@ from repro.ir.printer import format_function
 from repro.machine.presets import wide_issue
 from repro.pipeline.driver import CompilationDriver, DriverConfig
 from repro.pipeline.incremental import (
-    cached_region_fdg_ir,
     region_cache_for,
+    region_false_graph,
     reset_region_caches,
 )
 from repro.workloads.generator import diamond_chain
@@ -133,10 +134,7 @@ def timed_region_sweep(text, machine, engine, cache):
     shared_function_dependence_graph(fn)
     started = time.perf_counter()
     for region in regions:
-        cached_region_fdg_ir(
-            fn, region, machine, engine, cache,
-            dependence_graph=lambda: shared_function_dependence_graph(fn),
-        )
+        region_false_graph(fn, region, machine, engine, cache)
     return time.perf_counter() - started
 
 
