@@ -280,6 +280,14 @@ def build_parallel_interference_graph(
     :func:`~repro.pipeline.incremental.region_false_graph`, is spliced
     onto the web graph in region order.
 
+    Multi-block regions read the whole-function dependence graph that
+    :func:`~repro.deps.global_deps.shared_function_dependence_graph`
+    memoizes on *fn*'s identity.  Do not mutate *fn* in place between
+    two builds (``BasicBlock.append``/``insert``): the second build
+    would reuse the stale graph and silently drop the transit edges of
+    new instructions.  Edit a :meth:`~repro.ir.function.Function.copy`
+    instead.
+
     Args:
         fn: Symbolic-register function (single- or multi-block).
         machine: Supplies latencies and the contention constraints that
@@ -306,7 +314,10 @@ def build_parallel_interference_graph(
         config_fingerprint: ``DriverConfig.fingerprint()`` component
             of the region keys (only read when *region_cache* is set).
     """
-    from repro.pipeline.incremental import _note_region, region_false_graph
+    from repro.pipeline.incremental import (
+        note_region_compose,
+        region_false_graph,
+    )
 
     if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
@@ -332,8 +343,7 @@ def build_parallel_interference_graph(
         if fdg is not None:
             false_graphs.append(fdg)
             _splice_false_edges(fdg, def_to_web, graph)
-    if region_cache is not None:
-        _note_region("compose")
+    note_region_compose(region_cache, engine)
 
     return ParallelInterferenceGraph(
         graph=graph,

@@ -39,16 +39,14 @@ Cache honesty mirrors the whole-compile tiers:
   its primary engine, and the batch/serve retry ladders disable the
   region cache outright in their degraded-rung configs.
 
-Every lookup emits ``cache.region.{hit,miss}`` and every function
-built with a region cache ``cache.region.compose`` — trace counters,
-so ``repro stats`` surfaces the hit rate of a session.
+Every lookup emits ``cache.region.{hit,miss}`` and every PIG build
+given a store that serves its engine ``cache.region.compose`` — trace
+counters, so ``repro stats`` surfaces the hit rate of a session.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.analysis.regions import Region
 from repro.cache.keys import (
@@ -263,6 +261,15 @@ def _cache_serves(
     )
 
 
+def note_region_compose(cache: Optional[CompileCache], engine: str) -> None:
+    """Count one whole-function build whose regions went through
+    :func:`region_false_graph` with a store that serves *engine*
+    (``cache.region.compose``); a build the store cannot serve counts
+    nothing."""
+    if cache is not None and engine in CACHEABLE_ENGINES:
+        _note_region("compose")
+
+
 def cached_region_fdg(
     sg: ScheduleGraph,
     machine: MachineDescription,
@@ -300,10 +307,9 @@ def region_false_graph(
     fn: Function,
     region: Region,
     machine: MachineDescription,
-    engine: str = "bitset",
-    cache: Optional[CompileCache] = None,
+    engine: str,
+    cache: Optional[CompileCache],
     config_fingerprint: str = "",
-    dependence_graph: Optional[nx.DiGraph] = None,
     check_deadline: Optional[Callable[[], None]] = None,
 ) -> Optional[FalseDependenceGraph]:
     """G_f of one scheduling region of *fn*, or ``None`` for an empty
@@ -320,28 +326,30 @@ def region_false_graph(
     kernel and stores it.  Otherwise the kernel is built with no
     digest and no store traffic.
 
-    *dependence_graph* is the whole-function dependence graph the
-    transit pass of a multi-block region reads; by default the one
+    The transit pass of a multi-block region reads the whole-function
+    dependence graph that
     :func:`~repro.deps.global_deps.shared_function_dependence_graph`
-    memoizes for *fn*, so every region of every phase shares it.
+    memoizes on *fn*'s identity, so every region of every phase shares
+    one; *fn* must therefore not be mutated in place between calls.
     *check_deadline* is forwarded to the kernel build.
     """
     size = sum(len(fn.block(name).instructions) for name in region.blocks)
     if not size:
         return None
-    if len(region.blocks) > 1 and dependence_graph is None:
-        dependence_graph = shared_function_dependence_graph(fn)
     if not _cache_serves(cache, engine, size):
         sg = region_schedule_graph(
             fn, region.blocks, machine=machine,
-            dependence_graph=dependence_graph,
+            dependence_graph=(
+                shared_function_dependence_graph(fn)
+                if len(region.blocks) > 1 else None
+            ),
         )
         if engine == "reference":
             return reference_false_dependence_graph(sg, machine)
         return false_dependence_graph(
             sg, machine, check_deadline=check_deadline
         )
-    work = _RegionWork(region, fn, machine, dependence_graph)
+    work = _RegionWork(region, fn, machine)
     key = region_cache_key_from_digest(
         work.digest(), machine, engine, config_fingerprint
     )
@@ -389,7 +397,6 @@ class _RegionWork:
         region: Region,
         fn: Function,
         machine: MachineDescription,
-        dependence_graph: Optional[nx.DiGraph],
     ) -> None:
         self.region = region
         self._fn = fn
@@ -404,7 +411,7 @@ class _RegionWork:
         self.boundaries = tuple(boundaries)
         if len(region.blocks) > 1:
             self.transit = transit_dependence_pairs(
-                fn, instructions, dependence_graph
+                fn, instructions, shared_function_dependence_graph(fn)
             )
         else:
             self.transit = []

@@ -84,6 +84,12 @@ def find_false_dependences(
     is generated" under the open-interval reuse convention).  Pass
     ``include_anti=True`` for the stricter reordering-loss analysis.
 
+    Like :func:`~repro.core.parallel_interference.
+    build_parallel_interference_graph`, the check reads the
+    whole-function dependence graph memoized on *original*'s identity
+    (:func:`~repro.deps.global_deps.shared_function_dependence_graph`),
+    so *original* must not be mutated in place between calls.
+
     Args:
         original: The symbolic-register function.
         allocated: Its rewrite with physical registers — instruction

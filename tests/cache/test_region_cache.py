@@ -280,6 +280,36 @@ class TestRegionCacheHonesty:
         assert after["hits"] == warm["hits"]
         assert after["misses"] == warm["misses"]
 
+    def test_counters_only_for_engines_the_store_serves(self):
+        # The reference engine has no wire rows: a build handed a
+        # cache anyway neither touches the store nor counts a lookup
+        # or a compose.  The bitset build with the same cache does.
+        from repro.core.parallel_interference import (
+            build_parallel_interference_graph,
+        )
+        from repro.obs import collecting_metrics
+
+        machine = two_unit_superscalar()
+        fn = diamond_chain(num_diamonds=2, block_size=8, seed=0)
+        cache = CompileCache(capacity=64)
+
+        def region_counters(engine):
+            with collecting_metrics() as registry:
+                build_parallel_interference_graph(
+                    fn, machine, engine=engine, region_cache=cache
+                )
+            return {
+                name: value
+                for name, value in registry.snapshot()["counters"].items()
+                if name.startswith("cache.region.")
+            }
+
+        assert region_counters("reference") == {}
+        assert cache.snapshot()["stores"] == 0
+        counted = region_counters("bitset")
+        assert counted["cache.region.compose"] == 1
+        assert counted["cache.region.miss"] > 0
+
     def test_degraded_result_never_stored(self):
         # The driver consults the region cache only for its primary
         # engine: a ladder fallback (or an explicit reference config)
